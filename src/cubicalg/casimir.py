@@ -12,6 +12,10 @@ nine ordered basis combinations; requiring it to commute with A and B
 gives an exact overdetermined linear system for the unknowns.  The
 constant term is a free direction of the centralizer and is normalized
 to zero.
+
+The same two relations and the central element are also written once
+for any associative ring (comm, acomm, relations, realize), so the
+ladder calculus and the matrix modules replay one formula.
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ def normalize(poly, rules):
 
 
 def _is_scalar_zero(value):
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, float, Fraction)):
         return value == 0
     return value.is_zero()
 
@@ -259,6 +263,41 @@ def evaluate_coefficients(values):
     for name, poly in casimir_coefficients().items():
         out[name] = poly.evaluate(values)
     return out
+
+
+def comm(x, y):
+    return x * y - y * x
+
+
+def acomm(x, y):
+    return x * y + y * x
+
+
+def relations(consts, a, b, c, one):
+    """Residuals of [A, C] and [B, C] against the defining relations.
+
+    a, b, c and the unit one live in any associative ring; consts maps
+    the nine constant names to scalars that multiply its elements.
+    """
+    aa = a * a
+    ab = acomm(a, b)
+    linear = comm(a, c) - (
+        consts["alpha"] * aa
+        + consts["beta"] * ab
+        + consts["gamma"] * a
+        + consts["delta"] * b
+        + consts["epsilon"] * one
+    )
+    closure = comm(b, c) - (
+        consts["mu"] * (aa * a)
+        + consts["nu"] * aa
+        - consts["beta"] * (b * b)
+        - consts["alpha"] * ab
+        + consts["xi"] * a
+        - consts["gamma"] * b
+        + consts["zeta"] * one
+    )
+    return linear, closure
 
 
 def realize(coeffs, a_op, b_op, c_op):

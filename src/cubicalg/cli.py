@@ -16,6 +16,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +80,12 @@ class RunConfig:
             raise ConfigError("a must be positive")
         if self.grid < 3:
             raise ConfigError("grid must have at least three points")
+        for name in ("cutoff", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    "%s must be finite and positive, got %r" % (name, value)
+                )
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
 

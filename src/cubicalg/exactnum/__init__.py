@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: polynomials, restricted fractions, and
 rational functions of a level variable, plus parsing, interpolation,
-root isolation, and exact linear solving."""
+rational root extraction, and exact linear solving."""
 
 from .errors import (
     DegreeBoundExceeded,

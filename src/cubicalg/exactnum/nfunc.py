@@ -291,23 +291,6 @@ class NFunc:
             scale = scale * (point - r) ** m
         return value * (1 / scale)
 
-    def to_polyfraction(self, arg):
-        """Polynomial composition: substitute a PolyFraction for nu."""
-        if self.den:
-            raise ValueError("not polynomial: %s" % self.format())
-        if not self.num:
-            return PolyFraction.const(self.table, 0)
-        out = self.num[-1]
-        for c in reversed(self.num[:-1]):
-            out = out * arg + c
-        return out
-
-    def to_upoly(self):
-        """Fraction coefficient list; requires rational polynomial form."""
-        if self.den:
-            raise ValueError("not polynomial: %s" % self.format())
-        return [c.as_fraction() for c in self.num]
-
     def format(self, var="nu"):
         if not self.num:
             return "0"

@@ -53,10 +53,6 @@ class PolyFraction:
         return num, tuple(den)
 
     @classmethod
-    def from_poly(cls, poly):
-        return cls(poly)
-
-    @classmethod
     def const(cls, table, value):
         return cls(MultiPoly.const(table, value))
 

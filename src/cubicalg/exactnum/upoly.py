@@ -1,8 +1,7 @@
 """Dense univariate polynomials over Fraction, ascending coefficients.
 
-These back the real root machinery: exact Sturm counts, Yun squarefree
-decomposition, rational root extraction, and bisection refinement with
-rational interval endpoints.
+These back exact rational root extraction (rational_roots) and the
+Lagrange fit in interpolate.
 """
 
 from __future__ import annotations
@@ -32,14 +31,6 @@ def evaluate(p, x):
 def add(a, b):
     n = max(len(a), len(b))
     return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def neg(p):
-    return [-c for c in p]
-
-
-def sub(a, b):
-    return add(a, neg(b))
 
 
 def scale(p, k):
@@ -77,50 +68,6 @@ def divmod_poly(a, b):
         while r and r[-1] == 0:
             r.pop()
     return trim(q), trim(r)
-
-
-def monic(p):
-    p = trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def gcd_poly(a, b):
-    a, b = trim(a), trim(b)
-    while b:
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    return monic(a)
-
-
-def derivative(p):
-    return trim([c * i for i, c in enumerate(p)][1:])
-
-
-def yun(p):
-    """Squarefree decomposition [(g_i, i)] with p = lead * prod g_i^i."""
-    p = trim(p)
-    if degree(p) < 1:
-        return []
-    p = monic(p)
-    dp = derivative(p)
-    a0 = gcd_poly(p, dp)
-    b, _ = divmod_poly(p, a0)
-    c, _ = divmod_poly(dp, a0)
-    d = sub(c, derivative(b))
-    out = []
-    i = 1
-    while degree(b) > 0:
-        g = gcd_poly(b, d)
-        if degree(g) > 0:
-            out.append((g, i))
-        b, _ = divmod_poly(b, g)
-        c, _ = divmod_poly(d, g)
-        d = sub(c, derivative(b))
-        i += 1
-    return out
 
 
 def to_integer(p):
@@ -186,101 +133,3 @@ def rational_roots(p):
                             mult += 1
                         roots.append((cand, mult))
     return sorted(roots)
-
-
-def cauchy_bound(p):
-    p = trim(p)
-    if degree(p) < 1:
-        return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) / lead for c in p[:-1])
-
-
-def sturm_chain(p):
-    chain = [trim(p), derivative(p)]
-    while trim(chain[-1]):
-        _, r = divmod_poly(chain[-2], chain[-1])
-        if not trim(r):
-            break
-        chain.append(neg(r))
-    return [c for c in chain if trim(c)]
-
-
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = evaluate(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
-
-
-def count_roots(chain, lo, hi):
-    """Distinct real roots in (lo, hi] for the chain's base polynomial."""
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
-def isolate_real_roots(p):
-    """Disjoint intervals (lo, hi], one distinct real root each."""
-    p = trim(p)
-    if degree(p) < 1:
-        return []
-    square_free = p
-    g = gcd_poly(p, derivative(p))
-    if degree(g) > 0:
-        square_free, _ = divmod_poly(p, g)
-    chain = sturm_chain(square_free)
-    bound = cauchy_bound(square_free)
-    work = [(-bound - 1, bound + 1)]
-    out = []
-    while work:
-        lo, hi = work.pop()
-        n = count_roots(chain, lo, hi)
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((lo, hi))
-            continue
-        mid = Fraction(lo + hi, 2)
-        work.append((lo, mid))
-        work.append((mid, hi))
-    return sorted(out)
-
-
-def refine_root(p, lo, hi, width=Fraction(1, 10 ** 9)):
-    """Shrink an isolating interval (lo, hi] below width; exact when hit."""
-    p = trim(p)
-    if evaluate(p, hi) == 0:
-        return hi, hi
-    chain = sturm_chain(p)
-    while hi - lo > width:
-        mid = Fraction(lo + hi, 2)
-        if evaluate(p, mid) == 0:
-            return mid, mid
-        if count_roots(chain, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def real_roots(p, width=Fraction(1, 10 ** 9)):
-    """All real roots as (lo, hi, multiplicity); lo == hi means exact."""
-    p = trim(p)
-    if degree(p) < 1:
-        return []
-    out = []
-    for factor, mult in yun(p):
-        remaining = factor
-        for root, k in rational_roots(factor):
-            out.append((root, root, mult * k))
-            for _ in range(k):
-                remaining, _ = divmod_poly(remaining, [-root, Fraction(1)])
-        for lo, hi in isolate_real_roots(remaining):
-            lo, hi = refine_root(remaining, lo, hi, width)
-            out.append((lo, hi, mult))
-    return sorted(out)

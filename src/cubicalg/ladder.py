@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import casimir
+from .casimir import comm
 from .errors import (
     NonPolynomialStructure,
     ShiftInconsistency,
@@ -197,14 +198,6 @@ class LadderExpr:
                 out[m] = out[m] + f if m in out else f
         return LadderExpr(self.table, out)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("power must be a positive integer")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def substitute_phi(self, phi):
         """Collapse every structure symbol to the concrete function."""
         out = {}
@@ -247,14 +240,6 @@ def _mul_terms(m1, f1, m2, f2):
         up -= 1
         down -= 1
     return up - down, mid
-
-
-def comm(x, y):
-    return x * y - y * x
-
-
-def acomm(x, y):
-    return x * y + y * x
 
 
 @dataclass(frozen=True)
@@ -379,21 +364,8 @@ def derive_structure_function(spec, k):
     realization = derive_realization(spec)
     a_expr, b_expr, c_expr = generators(spec, realization)
     one = LadderExpr.from_scalar(table, 1)
-    eq_linear = comm(a_expr, c_expr) - (
-        spec.alpha * (a_expr * a_expr)
-        + spec.beta * acomm(a_expr, b_expr)
-        + spec.gamma * a_expr
-        + spec.delta * b_expr
-        + spec.epsilon * one
-    )
-    eq_closure = comm(b_expr, c_expr) - (
-        spec.mu * (a_expr ** 3)
-        + spec.nu * (a_expr * a_expr)
-        - spec.beta * (b_expr * b_expr)
-        - spec.alpha * acomm(a_expr, b_expr)
-        + spec.xi * a_expr
-        - spec.gamma * b_expr
-        + spec.zeta * one
+    eq_linear, eq_closure = casimir.relations(
+        spec.as_dict(), a_expr, b_expr, c_expr, one
     )
     central = casimir.realize(
         spec.casimir_values(), a_expr, b_expr, c_expr

@@ -14,19 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import casimir, spectrum
+from .casimir import acomm, comm  # noqa: F401  (acomm re-exported)
 
 
 class Matrix:
-    """Dense exact matrix over Fractions."""
+    """Dense square matrix over any scalar: Fractions or floats."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-    @classmethod
-    def zeros(cls, n):
-        return cls([[0] * n for _ in range(n)])
+        self.rows = tuple(tuple(row) for row in rows)
 
     @classmethod
     def identity(cls, n):
@@ -38,10 +35,6 @@ class Matrix:
         return cls(
             [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
-
-    @property
-    def size(self):
-        return len(self.rows)
 
     def __add__(self, other):
         return Matrix(
@@ -82,14 +75,6 @@ class Matrix:
 
     def max_abs(self):
         return max(abs(x) for row in self.rows for x in row)
-
-
-def comm(x, y):
-    return x * y - y * x
-
-
-def acomm(x, y):
-    return x * y + y * x
 
 
 @dataclass(frozen=True)
@@ -154,32 +139,27 @@ def q5_module(family, p, h=1, a=1):
     return matrix_module(sf, u, p, values), values
 
 
+def _residuals(module, spec, values, a, b, c, scalar):
+    """Residuals of both relations and the central value; every constant
+    is converted with scalar (Fraction or float) first."""
+    consts = {
+        name: scalar(v.evaluate(values)) for name, v in spec.as_dict().items()
+    }
+    coeffs = {
+        name: scalar(v.evaluate(values))
+        for name, v in spec.casimir_values().items()
+    }
+    one = Matrix.identity(module.dimension)
+    linear, closure = casimir.relations(consts, a, b, c, one)
+    central = casimir.realize(coeffs, a, b, c) - scalar(module.k) * one
+    return {"linear": linear, "closure": closure, "central": central}
+
+
 def relation_residuals(module, spec, values):
     """Exact residual matrices of both relations and the central value."""
-    consts = {name: v.evaluate(values) for name, v in spec.as_dict().items()}
-    a, b, c = module.a, module.b, module.c
-    one = Matrix.identity(module.dimension)
-    linear = comm(a, c) - (
-        consts["alpha"] * (a * a)
-        + consts["beta"] * acomm(a, b)
-        + consts["gamma"] * a
-        + consts["delta"] * b
-        + consts["epsilon"] * one
+    return _residuals(
+        module, spec, values, module.a, module.b, module.c, Fraction
     )
-    closure = comm(b, c) - (
-        consts["mu"] * (a * a * a)
-        + consts["nu"] * (a * a)
-        - consts["beta"] * (b * b)
-        - consts["alpha"] * acomm(a, b)
-        + consts["xi"] * a
-        - consts["gamma"] * b
-        + consts["zeta"] * one
-    )
-    coeffs = {
-        name: v.evaluate(values) for name, v in spec.casimir_values().items()
-    }
-    central = casimir.realize(coeffs, a, b, c) - module.k * one
-    return {"linear": linear, "closure": closure, "central": central}
 
 
 def symmetric_gauge(module):
@@ -198,84 +178,20 @@ def symmetric_gauge(module):
         d.append(d[-1] * math.sqrt(float(up)))
 
     def conjugate(m):
-        return [
-            [float(m.rows[i][j]) * d[j] / d[i] for j in range(n)]
-            for i in range(n)
-        ]
+        return Matrix(
+            [
+                [float(m.rows[i][j]) * d[j] / d[i] for j in range(n)]
+                for i in range(n)
+            ]
+        )
 
     return conjugate(module.a), conjugate(module.b), conjugate(module.c)
-
-
-def _fmul(x, y):
-    n = len(x)
-    cols = list(zip(*y))
-    return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in x]
-
-
-def _fadd(x, y):
-    return [[p + q for p, q in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def _fscale(s, x):
-    return [[s * p for p in row] for row in x]
-
-
-def _fcomm(x, y):
-    return _fadd(_fmul(x, y), _fscale(-1.0, _fmul(y, x)))
-
-
-def _facomm(x, y):
-    return _fadd(_fmul(x, y), _fmul(y, x))
 
 
 def symmetric_gauge_residual(module, spec, values):
     """Largest float residual of the relations in the symmetric gauge."""
     a, b, c = symmetric_gauge(module)
-    n = module.dimension
-    one = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    consts = {
-        name: float(v.evaluate(values)) for name, v in spec.as_dict().items()
-    }
-    coeffs = {
-        name: float(v.evaluate(values))
-        for name, v in spec.casimir_values().items()
-    }
-    residuals = [_fadd(_fcomm(a, b), _fscale(-1.0, c))]
-    linear = _fcomm(a, c)
-    for s, term in (
-        (consts["alpha"], _fmul(a, a)),
-        (consts["beta"], _facomm(a, b)),
-        (consts["gamma"], a),
-        (consts["delta"], b),
-        (consts["epsilon"], one),
-    ):
-        linear = _fadd(linear, _fscale(-s, term))
-    residuals.append(linear)
-    closure = _fcomm(b, c)
-    for s, term in (
-        (consts["mu"], _fmul(a, _fmul(a, a))),
-        (consts["nu"], _fmul(a, a)),
-        (-consts["beta"], _fmul(b, b)),
-        (-consts["alpha"], _facomm(a, b)),
-        (consts["xi"], a),
-        (-consts["gamma"], b),
-        (consts["zeta"], one),
-    ):
-        closure = _fadd(closure, _fscale(-s, term))
-    residuals.append(closure)
-    central = _fmul(c, c)
-    for name, term in (
-        ("AAB_sym", _facomm(_fmul(a, a), b)),
-        ("ABB_sym", _facomm(a, _fmul(b, b))),
-        ("AB_sym", _facomm(a, b)),
-        ("BB", _fmul(b, b)),
-        ("B", b),
-        ("A4", _fmul(_fmul(a, a), _fmul(a, a))),
-        ("A3", _fmul(a, _fmul(a, a))),
-        ("A2", _fmul(a, a)),
-        ("A", a),
-    ):
-        central = _fadd(central, _fscale(coeffs[name], term))
-    central = _fadd(central, _fscale(-float(module.k), one))
-    residuals.append(central)
-    return max(abs(x) for m in residuals for row in m for x in row)
+    residuals = _residuals(module, spec, values, a, b, c, float)
+    return max(
+        m.max_abs() for m in (comm(a, b) - c, *residuals.values())
+    )

@@ -226,6 +226,8 @@ def q5_levels(a=1.0, cutoff=6.0, n=2000, l_over_a=12.0):
     well is counted twice by mirror symmetry), y levels from the
     analytic harmonic ladder.
     """
+    if not math.isfinite(cutoff):
+        raise ValueError("cutoff must be finite, got %r" % (cutoff,))
     ey0 = y_levels_analytic(1, a)[0]
     bound = cutoff - ey0
     if bound <= 0.0:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .casimir import acomm, comm
 from .errors import AmbiguousBasis, NotInSpan
 from .exactnum import (
     InconsistentSystem,
@@ -147,14 +148,6 @@ class DiffOp:
             return NotImplemented
         return self.table == other.table and self.parts == other.parts
 
-    def max_order(self):
-        if not self.parts:
-            return (0, 0)
-        return (
-            max(k[0] for k in self.parts),
-            max(k[1] for k in self.parts),
-        )
-
     def format(self):
         if not self.parts:
             return "0"
@@ -174,14 +167,6 @@ class DiffOp:
 
     def __repr__(self):
         return "DiffOp(%s)" % self.format()
-
-
-def comm(a, b):
-    return a * b - b * a
-
-
-def acomm(a, b):
-    return a * b + b * a
 
 
 def q5_symbol_table():

@@ -243,6 +243,14 @@ def test_bad_flag_values_exit_2(capsys):
     assert cli.main(["spectrum", "--a", "about-one"]) == 2
     assert cli.main(["numeric", "--grid", "2"]) == 2
     assert cli.main(["spectrum", "--p-max", "-1"]) == 2
+    for flag, value in (
+        ("--cutoff", "nan"),
+        ("--cutoff", "inf"),
+        ("--cutoff", "-5"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+    ):
+        assert cli.main(["numeric", flag, value]) == 2, (flag, value)
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
         cli.main(["spectrum", "--format", "yaml"])

@@ -81,20 +81,6 @@ class TestArithmetic:
         rhs = v + Fraction(1, 2)
         assert lhs == rhs
 
-    def test_to_polyfraction_composition(self):
-        v = nu()
-        u = scalar("u")
-        f = v ** 2 + 1
-        composed = f.to_polyfraction(u + 2)
-        assert composed == (u + 2) ** 2 + 1
-
-    def test_to_upoly(self):
-        v = nu()
-        f = 2 * v ** 2 - 3
-        assert f.to_upoly() == [Fraction(-3), Fraction(0), Fraction(2)]
-        with pytest.raises(ValueError):
-            (f / v).to_upoly()
-
     def test_degree_and_coefficients(self):
         v = nu()
         f = 5 * v ** 3 + v

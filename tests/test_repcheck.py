@@ -1,5 +1,6 @@
 """Exact matrix modules and the symmetric floating gauge."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -73,7 +74,39 @@ def test_q5_symmetric_gauge_stays_tight(q5):
             a, b, _ = repcheck.symmetric_gauge(module)
             for i in range(module.dimension):
                 for j in range(module.dimension):
-                    assert b[i][j] == pytest.approx(b[j][i], abs=1e-12)
+                    assert b.rows[i][j] == pytest.approx(b.rows[j][i], abs=1e-12)
+
+
+def test_each_perturbed_constant_shows_in_the_residuals(q5):
+    # q5 has alpha = beta = gamma = epsilon = 0, so only a perturbation
+    # shows that the shared relations carry those terms at all
+    _, spec, families = q5
+    module, values = repcheck.q5_module(family_with_root(families, "-3"), 2)
+    a, b = module.a, module.b
+    one = repcheck.Matrix.identity(module.dimension)
+    ab = repcheck.acomm(a, b)
+    # constant -> (term in [A, C], term in [B, C]) it multiplies, signed
+    terms = {
+        "alpha": (a * a, -ab),
+        "beta": (ab, -(b * b)),
+        "gamma": (a, -b),
+        "delta": (b, None),
+        "epsilon": (one, None),
+        "mu": (None, a * a * a),
+        "nu": (None, a * a),
+        "xi": (None, a),
+        "zeta": (None, one),
+    }
+    for name, (in_linear, in_closure) in terms.items():
+        bumped = dataclasses.replace(spec, **{name: getattr(spec, name) + 1})
+        residuals = repcheck.relation_residuals(module, bumped, values)
+        for relation, term in (("linear", in_linear), ("closure", in_closure)):
+            if term is None:
+                assert residuals[relation].is_zero(), (name, relation)
+            else:
+                assert residuals[relation] == -term, (name, relation)
+        gauge = repcheck.symmetric_gauge_residual(module, bumped, values)
+        assert gauge > 1e-6, name
 
 
 def test_nonunitary_module_is_exact_but_not_symmetrizable(q5):

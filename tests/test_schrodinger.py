@@ -145,6 +145,13 @@ def test_q5_levels_sorted_below_cutoff_in_mirror_pairs():
     assert sch.q5_levels(1.0, cutoff=0.2) == []
 
 
+def test_q5_levels_rejects_non_finite_cutoff():
+    # no level compares >= inf or nan, so the y ladder would never stop
+    for cutoff in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sch.q5_levels(1.0, cutoff=cutoff, n=3)
+
+
 def test_compare_report_semantics():
     levels = [1.0, 2.0, 3.0]
     rep = sch.compare([("g", 1.0005), ("x", 2.4)], levels, tol=1e-3)

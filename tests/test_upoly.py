@@ -1,4 +1,4 @@
-"""Univariate root machinery over exact rationals."""
+"""Univariate polynomial division and rational roots over exact rationals."""
 
 from fractions import Fraction
 
@@ -17,18 +17,6 @@ class TestBasics:
         assert q == poly(1, 1)
         assert r == []
 
-    def test_gcd(self):
-        a = upoly.mul(poly(-1, 1), poly(-2, 1))
-        b = upoly.mul(poly(-1, 1), poly(3, 1))
-        assert upoly.gcd_poly(a, b) == poly(-1, 1)
-
-    def test_yun_squarefree(self):
-        # (x - 1)^2 (x + 2)
-        p = upoly.mul(upoly.mul(poly(-1, 1), poly(-1, 1)), poly(2, 1))
-        parts = upoly.yun(p)
-        assert (poly(2, 1), 1) in parts
-        assert (poly(-1, 1), 2) in parts
-
 
 class TestRoots:
     def test_rational_roots_with_multiplicity(self):
@@ -36,23 +24,6 @@ class TestRoots:
         p = poly(-1, -2, 1, 2)
         roots = upoly.rational_roots(p)
         assert roots == [(Fraction(-1), 1), (Fraction(-1, 2), 1), (Fraction(1), 1)]
-
-    def test_real_roots_exact_and_irrational(self):
-        # x^2 - 2: irrational pair within 1e-9
-        roots = upoly.real_roots(poly(-2, 0, 1))
-        assert len(roots) == 2
-        for lo, hi, mult in roots:
-            assert mult == 1
-            assert hi - lo <= Fraction(1, 10 ** 9)
-            mid = Fraction(lo + hi, 2)
-            assert abs(mid * mid - 2) < Fraction(1, 10 ** 8)
-
-    def test_real_roots_multiplicity(self):
-        # x^2 (x - 3/2)
-        p = upoly.mul(poly(0, 0, 1), poly(Fraction(-3, 2), 1))
-        roots = upoly.real_roots(p)
-        assert (Fraction(0), Fraction(0), 2) in roots
-        assert (Fraction(3, 2), Fraction(3, 2), 1) in roots
 
     def test_structure_function_roots_fixed_point(self):
         # -4v^4 + 8v^3 + 6v^2 - 11v - 15/4 factors as
@@ -62,16 +33,9 @@ class TestRoots:
             upoly.mul(poly(Fraction(-3, 2), 1), poly(Fraction(-5, 2), 1)),
         )
         p = upoly.scale(p, -4)
-        roots = upoly.real_roots(p)
+        roots = upoly.rational_roots(p)
         assert roots == [
-            (Fraction(-1, 2), Fraction(-1, 2), 2),
-            (Fraction(3, 2), Fraction(3, 2), 1),
-            (Fraction(5, 2), Fraction(5, 2), 1),
+            (Fraction(-1, 2), 2),
+            (Fraction(3, 2), 1),
+            (Fraction(5, 2), 1),
         ]
-
-    def test_sturm_count_interval(self):
-        p = poly(-2, 0, 1)
-        chain = upoly.sturm_chain(p)
-        assert upoly.count_roots(chain, Fraction(0), Fraction(2)) == 1
-        assert upoly.count_roots(chain, Fraction(-2), Fraction(2)) == 2
-        assert upoly.count_roots(chain, Fraction(2), Fraction(3)) == 0
