@@ -86,21 +86,39 @@ class RunConfig:
                 raise ConfigError(
                     "%s must be finite and positive, got %r" % (name, value)
                 )
+        try:
+            schrodinger.check_level_budget(self.a, Fraction(self.cutoff),
+                                           self.grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
 
 
 def _read_config_file(path):
-    cp = configparser.ConfigParser()
+    # Values are read literally: a '%' in a path or an expression is
+    # text, not the start of an interpolation.
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
     except configparser.Error as exc:
         raise ConfigError("config syntax: %s" % exc)
     return cp
+
+
+def _config_number(cp, section, key, convert, default):
+    """One numeric value of a config section, or default when absent."""
+    if not cp.has_option(section, key):
+        return default
+    text = cp.get(section, key)
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError("[%s] %s is not a number: %r" % (section, key, text))
 
 
 def build_config(args):
@@ -130,14 +148,11 @@ def build_config(args):
                         "unknown constants: %s" % ", ".join(sorted(extra))
                     )
                 inline = {name: keys.get(name, "0") for name in CONSTANT_KEYS}
-        if cp.has_section("spectrum"):
-            p_max = cp.getint("spectrum", "p_max", fallback=p_max)
-        if cp.has_section("numeric"):
-            sec = cp["numeric"]
-            a = Fraction(sec.get("a", str(a)))
-            grid = int(sec.get("grid", str(grid)))
-            cutoff = float(sec.get("cutoff", str(cutoff)))
-            tol = float(sec.get("tol", str(tol)))
+        p_max = _config_number(cp, "spectrum", "p_max", int, p_max)
+        a = _config_number(cp, "numeric", "a", Fraction, a)
+        grid = _config_number(cp, "numeric", "grid", int, grid)
+        cutoff = _config_number(cp, "numeric", "cutoff", float, cutoff)
+        tol = _config_number(cp, "numeric", "tol", float, tol)
         if cp.has_section("output"):
             fmt = cp.get("output", "format", fallback=fmt)
             out = cp.get("output", "path", fallback=out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .errors import ExactDivisionError
 from .symbols import SymbolTable, check_same
@@ -34,15 +35,16 @@ class MultiPoly:
         ii = table.imaginary_index
         terms = {}
         for exps, coeff in raw.items():
-            if coeff == 0:
+            if not coeff:
                 continue
             if ii is not None and exps[ii] >= 2:
                 q, r = divmod(exps[ii], 2)
                 if q % 2:
                     coeff = -coeff
                 exps = exps[:ii] + (r,) + exps[ii + 1 :]
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return cls(table, {e: c for e, c in terms.items() if c != 0})
+            old = terms.get(exps)
+            terms[exps] = coeff if old is None else old + coeff
+        return cls(table, {e: c for e, c in terms.items() if c})
 
     @classmethod
     def zero(cls, table):
@@ -181,12 +183,20 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        raw = {}
+        # Factors hold i to the power 0 or 1, so a product term holds
+        # at most i^2 = -1, reduced as it comes.
+        ii = self.table.imaginary_index
+        terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                raw[exps] = raw.get(exps, Fraction(0)) + c1 * c2
-        return MultiPoly._make(self.table, raw)
+                exps = tuple(map(add, e1, e2))
+                coeff = c1 * c2
+                if ii is not None and exps[ii] == 2:
+                    exps = exps[:ii] + (0,) + exps[ii + 1 :]
+                    coeff = -coeff
+                old = terms.get(exps)
+                terms[exps] = coeff if old is None else old + coeff
+        return MultiPoly(self.table, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 

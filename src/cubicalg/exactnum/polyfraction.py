@@ -5,6 +5,23 @@ denominator exponents are nonnegative integers, one per declared atom.
 The form is canonical: whenever an exponent is positive the numerator is
 not divisible by that atom.  General division is only defined when the
 divisor's numerator reduces to a rational times a product of atoms.
+
+Divisibility by an atom is decided without general polynomial division.
+A bare symbol atom divides num exactly when every term carries that
+symbol, and the quotient lowers that exponent by one.  A linear atom
+s + L, monic in its leading symbol s, divides num exactly when num
+vanishes identically at s := -L; the quotient comes from synthetic
+division in s (Horner's rule with polynomial coefficients), whose
+remainder is that substituted value.  Most attempts fail, so num(-L) is
+first evaluated modulo the prime P = 2^61 - 1 with every other symbol at
+a fixed integer.  Reduction mod P is a ring homomorphism on the
+rationals whose denominators P does not divide, so a zero polynomial
+num(-L) has residue 0: a nonzero residue proves that the atom does not
+divide num.  A zero residue proves nothing and synthetic division
+decides; a coefficient denominator divisible by P skips the filter.
+The imaginary symbol counts as a free variable in both steps, which is
+exact because stored terms hold it to the power 0 or 1 and L does not
+involve it.  An atom that involves it falls back to MultiPoly.try_div.
 """
 
 from __future__ import annotations
@@ -13,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import ExactDivisionError, PoleError
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, term_key
 from .symbols import check_same
 
 
@@ -40,12 +57,9 @@ class PolyFraction:
         if num.is_zero():
             return num, (0,) * len(den)
         den = list(den)
-        for k, e in enumerate(den):
-            if e == 0:
-                continue
-            atom = MultiPoly.from_atom(num.table, k)
+        for k in range(len(den)):
             while den[k] > 0:
-                quotient = num.try_div(atom)
+                quotient = _div_atom(num, k)
                 if quotient is None:
                     break
                 num = quotient
@@ -140,9 +154,8 @@ class PolyFraction:
         rest = self.num
         found = [0] * len(self.table.atoms)
         for k in range(len(self.table.atoms)):
-            atom = MultiPoly.from_atom(self.table, k)
             while True:
-                quotient = rest.try_div(atom)
+                quotient = _div_atom(rest, k)
                 if quotient is None:
                     break
                 rest = quotient
@@ -315,6 +328,94 @@ class PolyFraction:
 
     def __repr__(self):
         return "PolyFraction(%s)" % self.format()
+
+
+_P = (1 << 61) - 1
+
+
+def _point(j):
+    """Fixed value of symbol j in the divisibility filter, reduced mod _P."""
+    return (j + 1) * 0x9E3779B97F4A7C15 % _P
+
+
+def _residue(num, s, root):
+    """num at s := root and symbol j := _point(j) otherwise, mod _P.
+
+    root lists (symbol index, coefficient) pairs, None standing for the
+    constant term.  Returns 0 when some denominator is divisible by _P,
+    where the residue is undefined and the filter must not reject.
+    """
+    point = [_point(j) for j in range(num.table.nvars)]
+    value = 0
+    for j, c in root:
+        if c.denominator % _P == 0:
+            return 0
+        term = c.numerator * pow(c.denominator, -1, _P)
+        value += term if j is None else term * point[j]
+    point[s] = value % _P
+    acc_num, acc_den = 0, 1
+    for exps, coeff in num.terms.items():
+        den = coeff.denominator
+        if den % _P == 0:
+            return 0
+        term = coeff.numerator
+        for v, e in zip(point, exps):
+            if e:
+                term = term * pow(v, e, _P) % _P
+        acc_num = (acc_num * den + term * acc_den) % _P
+        acc_den = acc_den * den % _P
+    return acc_num
+
+
+def _descending(table, terms):
+    """MultiPoly with terms in descending order, as try_div builds them."""
+    return MultiPoly(
+        table, {e: terms[e] for e in sorted(terms, key=term_key, reverse=True)}
+    )
+
+
+def _div_atom(num, k):
+    """Exact quotient num / atom_k, or None when the atom does not divide num."""
+    table = num.table
+    atom = table.atoms[k]
+    s = atom.terms[0][0]
+    if any(j == table.imaginary_index for j, _ in atom.terms):
+        return num.try_div(MultiPoly.from_atom(table, k))
+    if len(atom.terms) == 1 and not atom.constant:
+        if any(exps[s] == 0 for exps in num.terms):
+            return None
+        return _descending(table, {
+            exps[:s] + (exps[s] - 1,) + exps[s + 1 :]: c
+            for exps, c in num.terms.items()
+        })
+    root = [(j, -c) for j, c in atom.terms[1:]]
+    if atom.constant:
+        root.append((None, -atom.constant))
+    if _residue(num, s, root):
+        return None
+    top = max(exps[s] for exps in num.terms)
+    buckets = [{} for _ in range(top + 1)]
+    for exps, c in num.terms.items():
+        buckets[exps[s]][exps[:s] + (0,) + exps[s + 1 :]] = c
+    # Horner: carry runs through the quotient's coefficients of s^(d-1),
+    # and what it holds after d = 0 is the remainder num(-L).
+    quot = {}
+    carry = {}
+    for d in range(top, -1, -1):
+        step = buckets[d]
+        for exps, c in carry.items():
+            for j, rc in root:
+                e = exps if j is None else exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+                prod = c * rc
+                old = step.get(e)
+                step[e] = prod if old is None else old + prod
+        carry = {e: c for e, c in step.items() if c}
+        if d:
+            for e, c in carry.items():
+                quot[e[:s] + (d - 1,) + e[s + 1 :]] = c
+    if carry:
+        return None
+    return _descending(table, quot)
 
 
 def _atom_touches(table, atom_index, values):

@@ -31,6 +31,9 @@ __all__ = [
     "x_levels_middle",
     "x_levels_outer",
     "y_levels_analytic",
+    "MAX_GRID",
+    "MAX_LEVELS",
+    "check_level_budget",
     "q5_levels",
     "compare",
     "box_ground",
@@ -219,6 +222,26 @@ def y_levels_analytic(count, a=1.0):
     return [(2 * j + 1) / (4.0 * a * a) for j in range(count)]
 
 
+MAX_GRID = 20000
+MAX_LEVELS = 10 ** 7
+
+
+def check_level_budget(a, cutoff, n):
+    """Refuse a grid or cutoff whose worst-case level count is over the caps.
+
+    Each of the three wells yields at most n x levels, all positive, and
+    over each of them at most 2 a^2 cutoff + 1 y rungs lie below cutoff.
+    """
+    if n > MAX_GRID:
+        raise ValueError("grid must be at most %d, got %d" % (MAX_GRID, n))
+    worst = 3 * n * (2 * a * a * cutoff + 1)
+    if not worst <= MAX_LEVELS:
+        raise ValueError(
+            "cutoff %r at grid %d and a = %s allows 3*grid*(2*a^2*cutoff + 1)"
+            " levels, over the cap of %d" % (float(cutoff), n, a, MAX_LEVELS)
+        )
+
+
 def q5_levels(a=1.0, cutoff=6.0, n=2000, l_over_a=12.0):
     """Sorted planar levels below cutoff from the separated slices.
 
@@ -228,6 +251,7 @@ def q5_levels(a=1.0, cutoff=6.0, n=2000, l_over_a=12.0):
     """
     if not math.isfinite(cutoff):
         raise ValueError("cutoff must be finite, got %r" % (cutoff,))
+    check_level_budget(a, cutoff, n)
     ey0 = y_levels_analytic(1, a)[0]
     bound = cutoff - ey0
     if bound <= 0.0:

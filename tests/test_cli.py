@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cubicalg import cli
 
@@ -235,6 +238,83 @@ def test_preset_inline_conflict_exits_2(tmp_path, capsys):
     code = cli.main(["spectrum", "--config", str(cfg)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("numeric", "cutoff"),
+    ("numeric", "grid"),
+    ("numeric", "tol"),
+    ("numeric", "a"),
+    ("spectrum", "p_max"),
+])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, section, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[%s]\n%s = abc\n" % (section, key))
+    assert cli.main(["numeric", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_level_budget_exits_2(capsys):
+    assert cli.main(["numeric", "--cutoff", "1e9"]) == 2
+    assert cli.main(["numeric", "--grid", "1000000"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def config_args(path):
+    return argparse.Namespace(
+        config=str(path), preset=None, p_max=None, a=None, grid=None,
+        cutoff=None, tol=None, format=None, out=None,
+    )
+
+
+CONFIG_KEYS = (
+    ("algebra", "preset"), ("algebra", "alpha"), ("algebra", "k"),
+    ("spectrum", "p_max"), ("numeric", "a"), ("numeric", "grid"),
+    ("numeric", "cutoff"), ("numeric", "tol"), ("output", "format"),
+    ("output", "path"),
+)
+CONFIG_VALUES = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.fractions().map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+FUZZ = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def config_outcome(path):
+    """A RunConfig or a ConfigError; any other exception propagates."""
+    try:
+        return cli.build_config(config_args(path))
+    except cli.ConfigError as exc:
+        return exc
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES, max_size=6))
+def test_build_config_fuzz_values(tmp_path, entries):
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append("%s = %s" % (key, value))
+    text = "".join(
+        "[%s]\n%s\n" % (section, "\n".join(lines))
+        for section, lines in sections.items()
+    )
+    path = tmp_path / "fuzz.ini"
+    path.write_text(text, encoding="utf-8")
+    assert isinstance(config_outcome(path), (cli.RunConfig, cli.ConfigError))
+
+
+@FUZZ
+@given(st.binary(max_size=80))
+def test_build_config_fuzz_file_bytes(tmp_path, data):
+    path = tmp_path / "fuzz.ini"
+    path.write_bytes(b"[numeric]\n" + data)
+    assert isinstance(config_outcome(path), (cli.RunConfig, cli.ConfigError))
 
 
 def test_bad_flag_values_exit_2(capsys):

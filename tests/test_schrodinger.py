@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy
@@ -150,6 +151,21 @@ def test_q5_levels_rejects_non_finite_cutoff():
     for cutoff in (math.inf, math.nan):
         with pytest.raises(ValueError):
             sch.q5_levels(1.0, cutoff=cutoff, n=3)
+
+
+def test_q5_levels_refuses_a_huge_cutoff_or_grid_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        sch.q5_levels(1.0, cutoff=1e9, n=3)
+    with pytest.raises(ValueError, match="at most"):
+        sch.q5_levels(1.0, cutoff=6.0, n=sch.MAX_GRID + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_level_budget_accepts_the_fd_inputs():
+    # numeric's default and the refined grid 2n + 1 of the largest one
+    for n in (500, 1000, 2000, 4001):
+        sch.check_level_budget(1.0, 6.0, n)
 
 
 def test_compare_report_semantics():
