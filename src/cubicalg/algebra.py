@@ -63,15 +63,12 @@ class AlgebraSpec:
 
 
 def _lift(table, value):
-    if isinstance(value, PolyFraction):
-        return value
-    if isinstance(value, MultiPoly):
-        return PolyFraction(value)
-    if isinstance(value, (int, Fraction)):
-        return PolyFraction.const(table, value)
     if isinstance(value, str):
         return parse(value, table)
-    raise TypeError("cannot use %r as a structure constant" % (value,))
+    lifted = PolyFraction.coerce(table, value)
+    if lifted is None:
+        raise TypeError("cannot use %r as a structure constant" % (value,))
+    return lifted
 
 
 def jacobi_reduce(values, table=None):

@@ -20,15 +20,14 @@ ladder calculus and the matrix modules replay one formula.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import JacobiViolation, UnderdeterminedCasimir
+from .errors import CubicalgError, JacobiViolation
 from .exactnum import (
     InconsistentSystem,
     MultiPoly,
     RankDeficientSystem,
     SymbolTable,
     solve_exact,
+    upoly,
 )
 
 CONSTANT_NAMES = (
@@ -98,7 +97,7 @@ def normalize(poly, rules):
     stack = list(poly.items())
     while stack:
         word, coeff = stack.pop()
-        if _is_scalar_zero(coeff):
+        if upoly.is_zero(coeff):
             continue
         pos = None
         for k in range(len(word) - 1):
@@ -116,13 +115,7 @@ def normalize(poly, rules):
             stack.append(
                 (word[:pos] + replacement + word[pos + 2 :], coeff * factor)
             )
-    return {w: c for w, c in out.items() if not _is_scalar_zero(c)}
-
-
-def _is_scalar_zero(value):
-    if isinstance(value, (int, float, Fraction)):
-        return value == 0
-    return value.is_zero()
+    return {w: c for w, c in out.items() if not upoly.is_zero(c)}
 
 
 def nc_mul(p, q, rules):
@@ -142,7 +135,7 @@ def nc_add(p, q):
     out = dict(p)
     for w, c in q.items():
         out[w] = out[w] + c if w in out else c
-    return {w: c for w, c in out.items() if not _is_scalar_zero(c)}
+    return {w: c for w, c in out.items() if not upoly.is_zero(c)}
 
 
 def nc_scale(p, factor):
@@ -228,15 +221,15 @@ def casimir_coefficients():
     try:
         pairs = solve_exact(matrix, rhs)
     except RankDeficientSystem as exc:
-        raise UnderdeterminedCasimir(str(exc)) from None
+        raise CubicalgError(str(exc)) from None
     except InconsistentSystem as exc:
-        raise UnderdeterminedCasimir(
+        raise CubicalgError(
             "no central element of the assumed shape: %s" % exc
         ) from None
     coeffs = {}
     for name, (num, den) in zip(BASIS_NAMES, pairs):
         if not den.is_rational():
-            raise UnderdeterminedCasimir(
+            raise CubicalgError(
                 "coefficient %s is not polynomial in the constants" % name
             )
         coeffs[name] = num * (1 / den.as_fraction())
@@ -246,7 +239,7 @@ def casimir_coefficients():
     for gen in ("A", "B"):
         residual = nc_comm(candidate, gens[gen], rules)
         if residual:
-            raise UnderdeterminedCasimir(
+            raise CubicalgError(
                 "central element verification failed against %s" % gen
             )
     _COEFFS = coeffs
@@ -322,7 +315,7 @@ def realize(coeffs, a_op, b_op, c_op):
     }
     for name in BASIS_NAMES:
         coeff = coeffs[name]
-        if _is_scalar_zero(coeff):
+        if upoly.is_zero(coeff):
             continue
         total = total + coeff * terms[name]()
     return total

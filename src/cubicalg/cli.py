@@ -8,8 +8,9 @@ the separated wells, compare lines the two spectra up, and all chains
 everything into one document.  Outputs are deterministic: identical
 configs produce byte-identical JSON or CSV.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 bad usage or
-config.
+Exit codes: 0 all checks passed; 1 some check failed, or the pipeline
+raised a CubicalgError (reported on one stderr line); 2 bad usage or
+config, including a ConfigError or a ParseError.
 """
 
 import argparse
@@ -22,21 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import algebra, errors, ladder, repcheck, schrodinger, spectrum, weylop
-from .errors import UnresolvedFactor
+from . import algebra, ladder, repcheck, schrodinger, spectrum, weylop
+from .errors import CubicalgError, UnresolvedFactor
 from .exactnum import ParseError, PolyFraction, SymbolTable, parse
-
-PIPELINE_ERRORS = (
-    errors.JacobiViolation,
-    errors.UnsupportedCase,
-    errors.SingularSystem,
-    errors.NonPolynomialStructure,
-    errors.ShiftInconsistency,
-    errors.UnderdeterminedCasimir,
-    errors.UnresolvedFactor,
-    errors.NotInSpan,
-    errors.AmbiguousBasis,
-)
 
 INLINE_SYMBOLS = ("E", "h", "a", "u", "p", "x", "k", "zeta")
 CONSTANT_KEYS = (
@@ -52,7 +41,7 @@ REFERENCE_PHI_CONSTANT = (
 REFERENCE_FAMILY_ROOTS = (("p + 2", "p - 2"),)
 
 
-class ConfigError(Exception):
+class ConfigError(CubicalgError):
     pass
 
 
@@ -89,6 +78,7 @@ class RunConfig:
         try:
             schrodinger.check_level_budget(self.a, Fraction(self.cutoff),
                                            self.grid)
+            schrodinger.check_float_range(self.a, self.cutoff)
         except ValueError as exc:
             raise ConfigError(str(exc))
         if self.fmt not in ("json", "csv"):
@@ -214,20 +204,15 @@ def _resolve_algebra(cfg):
     return _inline_algebra(cfg)
 
 
-def _fnum(value):
-    return float(value)
+def _float_energy(energy, cfg, p):
+    """The energy at h = 1, the configured a and p; other symbols are 0."""
+    values = dict.fromkeys(energy.table.symbols, Fraction(0))
+    values.update(h=Fraction(1), a=cfg.a, p=Fraction(p))
+    return float(energy.evaluate(values))
 
 
 def _energy_entry(energy, cfg, samples=(0, 1, 2)):
-    base = {"h": Fraction(1), "a": cfg.a, "E": Fraction(0),
-            "u": Fraction(0), "x": Fraction(0)}
-    numeric = {}
-    for s in samples:
-        vals = dict(base)
-        vals["p"] = Fraction(s)
-        for name in energy.table.symbols:
-            vals.setdefault(name, Fraction(0))
-        numeric["p=%d" % s] = _fnum(energy.evaluate(vals))
+    numeric = {"p=%d" % s: _float_energy(energy, cfg, s) for s in samples}
     return {"text": energy.format(), "numeric_at": numeric}
 
 
@@ -434,8 +419,6 @@ def run_numeric(cfg):
 
 def _predictions(cfg):
     preds = []
-    base = {"h": Fraction(1), "a": cfg.a, "E": Fraction(0),
-            "u": Fraction(0), "x": Fraction(0)}
     sf = spectrum.q5_structure_function()
     branches, families, _ = spectrum.energy_families(sf.phi)
     for fam in families:
@@ -443,9 +426,7 @@ def _predictions(cfg):
         for p in range(0, cfg.p_max + 1):
             if not spectrum.unitarity_verdict(fam, p).unitary:
                 continue
-            vals = dict(base)
-            vals["p"] = Fraction(p)
-            energy = _fnum(fam.energy.evaluate(vals))
+            energy = _float_energy(fam.energy, cfg, p)
             if energy > cfg.cutoff:
                 continue
             preds.append(("u=%s p=%d" % (label, p), energy))
@@ -586,15 +567,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         doc = RUNNERS[args.subcommand](cfg)
-    except ConfigError as exc:
+    except (ConfigError, ParseError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except PIPELINE_ERRORS as exc:
+    except CubicalgError as exc:
         print("%s: %s: %s" % (args.subcommand, type(exc).__name__, exc),
               file=sys.stderr)
         return 1

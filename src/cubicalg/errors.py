@@ -1,37 +1,35 @@
-"""Domain errors shared across the algebra, ladder, and operator layers."""
+"""Domain errors shared across the algebra, ladder, and operator layers.
+
+All of them derive from CubicalgError, the one base of every cubicalg
+error; a failure with no class of its own raises CubicalgError itself.
+"""
+
+from .exactnum.errors import CubicalgError
 
 
-class JacobiViolation(Exception):
+class JacobiViolation(CubicalgError):
     """Structure constants break the Jacobi identity."""
 
 
-class UnsupportedCase(Exception):
+class UnsupportedCase(CubicalgError):
     """No oscillator realization is available for these constants."""
 
 
-class SingularSystem(Exception):
+class SingularSystem(CubicalgError):
     """The linear system for the structure function is degenerate."""
 
 
-class NonPolynomialStructure(Exception):
+class NonPolynomialStructure(CubicalgError):
     """The solved structure function is not a polynomial of bounded degree."""
 
 
-class ShiftInconsistency(Exception):
-    """Recurrence components disagree between level shifts."""
-
-
-class UnderdeterminedCasimir(Exception):
-    """The centralizer conditions leave free casimir coefficients."""
-
-
-class UnresolvedFactor(Exception):
+class UnresolvedFactor(CubicalgError):
     """A polynomial kept a factor the exact root search cannot split."""
 
 
-class NotInSpan(Exception):
+class NotInSpan(CubicalgError):
     """An operator cannot be written over the requested basis."""
 
 
-class AmbiguousBasis(Exception):
+class AmbiguousBasis(CubicalgError):
     """The requested basis is linearly dependent on the target span."""

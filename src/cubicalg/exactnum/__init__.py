@@ -3,13 +3,13 @@ rational functions of a level variable, plus parsing, interpolation,
 rational root extraction, and exact linear solving."""
 
 from .errors import (
-    DegreeBoundExceeded,
+    CubicalgError,
     ExactDivisionError,
     ParseError,
     PoleError,
     SymbolTableMismatch,
 )
-from .interpolate import fit_with_degree_bound, lagrange
+from .interpolate import lagrange
 from .linsolve import (
     InconsistentSystem,
     RankDeficientSystem,
@@ -24,7 +24,7 @@ from .symbols import Atom, SymbolTable, check_same
 
 __all__ = [
     "Atom",
-    "DegreeBoundExceeded",
+    "CubicalgError",
     "ExactDivisionError",
     "InconsistentSystem",
     "MultiPoly",
@@ -36,7 +36,6 @@ __all__ = [
     "SymbolTable",
     "SymbolTableMismatch",
     "check_same",
-    "fit_with_degree_bound",
     "lagrange",
     "parse",
     "solve_exact",

@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import upoly
-from .errors import DegreeBoundExceeded
 
 
 def lagrange(points):
@@ -26,16 +25,3 @@ def lagrange(points):
         out = upoly.add(out, upoly.scale(basis, yi / denom))
     return out
 
-
-def fit_with_degree_bound(points, bound):
-    """Interpolate from bound+1 samples; remaining samples must agree."""
-    points = [(Fraction(x), Fraction(y)) for x, y in points]
-    if len(points) < bound + 1:
-        raise ValueError("need at least %d samples" % (bound + 1,))
-    poly = lagrange(points[: bound + 1])
-    for x, y in points[bound + 1 :]:
-        if upoly.evaluate(poly, x) != y:
-            raise DegreeBoundExceeded(
-                "degree bound %d exceeded at sample x=%s" % (bound, x)
-            )
-    return poly

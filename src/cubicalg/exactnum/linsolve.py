@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import CubicalgError
 from .multipoly import MultiPoly
 
 
-class InconsistentSystem(Exception):
+class InconsistentSystem(CubicalgError):
     """No solution: an eliminated row leaves a nonzero right hand side."""
 
 
-class RankDeficientSystem(Exception):
+class RankDeficientSystem(CubicalgError):
     """The coefficient matrix does not determine every unknown."""
 
 

@@ -17,33 +17,6 @@ from .polyfraction import PolyFraction
 from .symbols import check_same
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _horner(coeffs, point):
-    """Evaluate a PolyFraction-coefficient polynomial at a rational."""
-    if not coeffs:
-        return None
-    out = None
-    for c in reversed(coeffs):
-        out = c if out is None else out * point + c
-    return out
-
-
-def _syndiv(coeffs, root):
-    """Quotient of an exact division by (nu - root)."""
-    out = [None] * (len(coeffs) - 1)
-    carry = None
-    for k in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[k] if carry is None else carry * root + coeffs[k]
-        out[k - 1] = carry
-    return out
-
-
 def _expand_den(items):
     """Expand prod (nu - r)^m into a Fraction coefficient list."""
     out = [Fraction(1)]
@@ -53,16 +26,15 @@ def _expand_den(items):
     return out
 
 
-def _convolve(a, b):
-    """Product of PolyFraction-list and Fraction-or-PolyFraction-list."""
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            piece = ca * cb
-            out[i + j] = piece if out[i + j] is None else out[i + j] + piece
-    return out
+def _nfunc_operand(method):
+    """Coerce the other operand to an NFunc, or decline its type."""
+
+    def wrapper(self, other):
+        if not isinstance(other, (NFunc, int, Fraction, MultiPoly, PolyFraction)):
+            return NotImplemented
+        return method(self, NFunc.coerce(self.table, other))
+
+    return wrapper
 
 
 class NFunc:
@@ -70,7 +42,10 @@ class NFunc:
 
     def __init__(self, table, num, den=()):
         self.table = table
-        num = [self._lift(table, c) for c in num]
+        lifted = [PolyFraction.coerce(table, c) for c in num]
+        if any(c is None for c in lifted):
+            raise TypeError("cannot use %r as coefficients" % (num,))
+        num = lifted
         den = [(Fraction(r), int(m)) for r, m in den if m]
         if any(m < 0 for _, m in den):
             raise ValueError("negative denominator multiplicity")
@@ -83,35 +58,24 @@ class NFunc:
         self.den = tuple(den)
 
     @staticmethod
-    def _lift(table, value):
-        if isinstance(value, PolyFraction):
-            check_same(table, value.table)
-            return value
-        if isinstance(value, MultiPoly):
-            check_same(table, value.table)
-            return PolyFraction(value)
-        if isinstance(value, (int, Fraction)):
-            return PolyFraction.const(table, value)
-        raise TypeError("cannot use %r as a coefficient" % (value,))
-
-    @staticmethod
     def _reduce(num, den):
-        num = _trim(num)
+        num = upoly.trim(num)
         if not num:
             return [], []
         out = []
         for root, mult in den:
-            while mult > 0:
-                value = _horner(num, root)
-                if value is None or not value.is_zero():
-                    break
-                num = _syndiv(num, root)
-                mult -= 1
-            if mult:
-                out.append((root, mult))
-            if not num:
-                return [], []
+            num, removed = upoly.divide_out(num, root, mult)
+            if mult > removed:
+                out.append((root, mult - removed))
         return num, out
+
+    @classmethod
+    def coerce(cls, table, value):
+        """value as an NFunc over table; a scalar becomes a constant."""
+        if isinstance(value, NFunc):
+            check_same(table, value.table)
+            return value
+        return cls(table, [value])
 
     @classmethod
     def const(cls, table, value):
@@ -145,62 +109,33 @@ class NFunc:
             raise ValueError("value is not polynomial: %s" % self.format())
         return list(self.num)
 
-    def _coerce(self, other):
-        if isinstance(other, NFunc):
-            check_same(self.table, other.table)
-            return other
-        if isinstance(other, (int, Fraction, MultiPoly, PolyFraction)):
-            return NFunc(self.table, [other])
-        return None
-
+    @_nfunc_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        mine = dict(self.den)
-        theirs = dict(other.den)
-        union = sorted(
-            (r, max(mine.get(r, 0), theirs.get(r, 0)))
-            for r in set(mine) | set(theirs)
-        )
-        lift_self = _expand_den(
-            [(r, m - mine.get(r, 0)) for r, m in union if m > mine.get(r, 0)]
-        )
-        lift_other = _expand_den(
-            [(r, m - theirs.get(r, 0)) for r, m in union if m > theirs.get(r, 0)]
-        )
-        a = _convolve(list(self.num), lift_self)
-        b = _convolve(list(other.num), lift_other)
-        n = max(len(a), len(b))
-        zero = PolyFraction.const(self.table, 0)
-        total = [
-            (a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-            for i in range(n)
-        ]
-        return NFunc(self.table, total, union)
+        mine, theirs = dict(self.den), dict(other.den)
+        union = {r: max(mine.get(r, 0), theirs.get(r, 0))
+                 for r in mine.keys() | theirs.keys()}
+        a = upoly.mul(self.num, _expand_den(
+            (r, m - mine.get(r, 0)) for r, m in union.items()))
+        b = upoly.mul(other.num, _expand_den(
+            (r, m - theirs.get(r, 0)) for r, m in union.items()))
+        return NFunc(self.table, upoly.add(a, b), union.items())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFunc(self.table, [-c for c in self.num], self.den)
+        return NFunc(self.table, upoly.scale(self.num, -1), self.den)
 
+    @_nfunc_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_nfunc_operand
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
+    @_nfunc_operand
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        num = _convolve(list(self.num), list(other.num))
+        num = upoly.mul(self.num, other.num)
         return NFunc(self.table, num, list(self.den) + list(other.den))
 
     __rmul__ = __mul__
@@ -210,18 +145,15 @@ class NFunc:
             raise ZeroDivisionError("inverting zero")
         lead = self.num[-1]
         inv_lead = lead.invert()
-        den_expanded = [c * inv_lead for c in _expand_den(self.den)]
+        den_expanded = upoly.scale(_expand_den(self.den), inv_lead)
         if len(self.num) == 1:
             return NFunc(self.table, den_expanded)
-        monic = [c * inv_lead for c in self.num]
-        rational = []
-        for c in monic:
-            if not c.is_rational():
-                raise ExactDivisionError(
-                    "cannot invert %s: non-rational coefficient ratio"
-                    % self.format()
-                )
-            rational.append(c.as_fraction())
+        try:
+            rational = [c.as_fraction() for c in upoly.scale(self.num, inv_lead)]
+        except ValueError:
+            raise ExactDivisionError(
+                "cannot invert %s: non-rational coefficient ratio" % self.format()
+            ) from None
         roots = upoly.rational_roots(rational)
         if sum(m for _, m in roots) != len(rational) - 1:
             raise ExactDivisionError(
@@ -230,16 +162,12 @@ class NFunc:
             )
         return NFunc(self.table, den_expanded, roots)
 
+    @_nfunc_operand
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.invert()
 
+    @_nfunc_operand
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other * self.invert()
 
     def __pow__(self, n):
@@ -251,13 +179,10 @@ class NFunc:
             out = out * self
         return out
 
+    @_nfunc_operand
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a = _convolve(list(self.num), _expand_den(other.den))
-        b = _convolve(list(other.num), _expand_den(self.den))
-        a, b = _trim(a), _trim(b)
+        a = upoly.mul(self.num, _expand_den(other.den))
+        b = upoly.mul(other.num, _expand_den(self.den))
         if len(a) != len(b):
             return False
         return all(x == y for x, y in zip(a, b))
@@ -266,16 +191,19 @@ class NFunc:
         return hash((self.num, self.den))
 
     def shift(self, s):
-        """Substitute nu -> nu + s for rational s."""
-        s = Fraction(s)
-        if not self.num:
-            return self
-        num = [self.num[-1]]
-        for c in reversed(self.num[:-1]):
-            num = _convolve(num, [s, Fraction(1)])
-            num[0] = num[0] + c
-        den = [(r - s, m) for r, m in self.den]
-        return NFunc(self.table, num, den)
+        """Substitute nu -> nu + s.
+
+        s is rational, or any scalar (a PolyFraction, say) when the
+        value is polynomial.
+        """
+        if isinstance(s, (MultiPoly, PolyFraction)):
+            if self.den:
+                raise ValueError("shift by a scalar needs a polynomial value")
+            den = ()
+        else:
+            s = Fraction(s)
+            den = [(r - s, m) for r, m in self.den]
+        return NFunc(self.table, upoly.shift(self.num, s), den)
 
     def evaluate(self, point):
         """Value at rational nu, as a PolyFraction."""
@@ -283,9 +211,9 @@ class NFunc:
         for r, m in self.den:
             if r == point and m:
                 raise PoleError("nu = %s is a pole" % (point,))
-        value = _horner(list(self.num), point)
-        if value is None:
+        if not self.num:
             return PolyFraction.const(self.table, 0)
+        value = upoly.evaluate(self.num, point)
         scale = Fraction(1)
         for r, m in self.den:
             scale = scale * (point - r) ** m

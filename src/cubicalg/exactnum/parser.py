@@ -13,16 +13,31 @@ divisor must reduce to a rational times a product of the table's
 denominator atoms.  The printers on MultiPoly and PolyFraction emit
 strings this grammar accepts, and parsing such output reproduces the
 original value.
+
+Parsing is bounded, so no text hangs it or exhausts the stack:
+parentheses nest at most MAX_DEPTH deep, an integer has at most
+MAX_BITS bits, and a product that could exceed MAX_TERMS terms,
+MAX_BITS bits or degree MAX_DEGREE is refused before it is computed.
+"/" multiplies by the inverse and "^" squares repeatedly, so each of
+their steps is such a product; a sum is checked once formed.  Every
+violation is a ParseError.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import ExactDivisionError, ParseError
 from .multipoly import MultiPoly
 from .polyfraction import PolyFraction
+
+MAX_DEPTH = 100
+MAX_TERMS = 4096
+MAX_BITS = 4096
+MAX_DEGREE = 256
+MAX_DIGITS = 1234  # no integer of MAX_BITS bits has more digits
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*/+-]))")
 
@@ -49,12 +64,61 @@ def _tokenize(text):
     return tokens
 
 
+def _size(value):
+    """(terms, bits, degree).
+
+    bits is that of the integer coefficients over their least common
+    denominator, or of that denominator; degree is the numerator's, or
+    the sum of the denominator atom exponents.
+    """
+    coeffs = value.num.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    top = max((abs(c.numerator) * (den // c.denominator) for c in coeffs),
+              default=0)
+    degree = max(map(sum, value.num.terms), default=0)
+    return len(coeffs), max(top, den).bit_length(), max(degree, sum(value.den))
+
+
+def _check(what, pos, terms, bits, degree):
+    if terms > MAX_TERMS or bits > MAX_BITS or degree > MAX_DEGREE:
+        raise ParseError("%s could exceed %d terms, %d bits or degree %d"
+                         % (what, MAX_TERMS, MAX_BITS, MAX_DEGREE), pos)
+
+
+def _integer(text, pos):
+    if len(text) > MAX_DIGITS or int(text).bit_length() > MAX_BITS:
+        raise ParseError("integer over %d bits" % MAX_BITS, pos)
+    return int(text)
+
+
+def _product(a, b, pos):
+    """a * b; each coefficient over the common denominators is a sum of
+    at most min(terms) products of integers."""
+    (ta, ba, ga), (tb, bb, gb) = _size(a), _size(b)
+    _check("product", pos, ta * tb, ba + bb + (min(ta, tb) - 1).bit_length(),
+           ga + gb)
+    return a * b
+
+
+def _power(base, n, pos):
+    """base ** n by repeated squaring."""
+    out = PolyFraction.const(base.table, 1)
+    while n:
+        if n & 1:
+            out = _product(out, base, pos)
+        n >>= 1
+        if n:
+            base = _product(base, base, pos)
+    return out
+
+
 class _Parser:
     def __init__(self, text, table):
         self.text = text
         self.table = table
         self.tokens = _tokenize(text)
         self.cursor = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.cursor]
@@ -87,11 +151,12 @@ class _Parser:
         if negate:
             total = -total
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
                 total = total - rhs if value == "-" else total + rhs
+                _check("sum", pos, *_size(total))
             else:
                 return total
 
@@ -102,13 +167,12 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.factor()
-                if value == "*":
-                    total = total * rhs
-                else:
+                if value == "/":
                     try:
-                        total = total / rhs
+                        rhs = rhs.invert()
                     except (ExactDivisionError, ZeroDivisionError) as exc:
                         raise ParseError(str(exc), pos) from None
+                total = _product(total, rhs, pos)
             else:
                 return total
 
@@ -121,20 +185,24 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be an unsigned integer", pos)
             self.advance()
-            base = base ** int(value)
+            base = _power(base, _integer(value, pos), pos)
         return base
 
     def base(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return PolyFraction.const(self.table, Fraction(int(value)))
+            return PolyFraction.const(self.table, Fraction(_integer(value, pos)))
         if kind == "name":
             if value not in self.table.symbols:
                 raise ParseError("unknown symbol %r" % value, pos)
             return PolyFraction(MultiPoly.sym(self.table, value))
         if kind == "op" and value == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError("nesting deeper than %d" % MAX_DEPTH, pos)
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a number, symbol, or parenthesis", pos)
 

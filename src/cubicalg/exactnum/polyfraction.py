@@ -93,15 +93,17 @@ class PolyFraction:
             raise ValueError("value has a denominator: %s" % self.format())
         return self.num
 
-    def _coerce(self, other):
-        if isinstance(other, PolyFraction):
-            check_same(self.table, other.table)
-            return other
-        if isinstance(other, MultiPoly):
-            check_same(self.table, other.table)
-            return PolyFraction(other)
-        if isinstance(other, (int, Fraction)):
-            return PolyFraction(MultiPoly.const(self.table, other))
+    @classmethod
+    def coerce(cls, table, value):
+        """value as a PolyFraction over table, or None for another type."""
+        if isinstance(value, PolyFraction):
+            check_same(table, value.table)
+            return value
+        if isinstance(value, MultiPoly):
+            check_same(table, value.table)
+            return cls(value)
+        if isinstance(value, (int, Fraction)):
+            return cls(MultiPoly.const(table, value))
         return None
 
     def _den_poly(self, exps=None):
@@ -113,7 +115,7 @@ class PolyFraction:
         return out
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         target = tuple(max(a, b) for a, b in zip(self.den, other.den))
@@ -127,19 +129,19 @@ class PolyFraction:
         return PolyFraction(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         den = tuple(a + b for a, b in zip(self.den, other.den))
@@ -170,13 +172,13 @@ class PolyFraction:
         return PolyFraction(new_num, tuple(found))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         return self * other.invert()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         return other * self.invert()
@@ -188,7 +190,7 @@ class PolyFraction:
         return PolyFraction(self.num ** n, tuple(e * n for e in self.den))
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -214,7 +216,7 @@ class PolyFraction:
         """Replace symbols by same-table values; atoms must stay invertible."""
         values = {}
         for name, val in mapping.items():
-            coerced = self._coerce(val)
+            coerced = PolyFraction.coerce(self.table, val)
             if coerced is None:
                 raise TypeError("cannot substitute %r" % (val,))
             values[name] = coerced

@@ -1,135 +1,125 @@
-"""Dense univariate polynomials over Fraction, ascending coefficients.
+"""Dense univariate polynomials over any coefficient ring.
 
-These back exact rational root extraction (rational_roots) and the
-Lagrange fit in interpolate.
+A polynomial is a list (or tuple) of coefficients, ascending, over any
+coefficient ring: Fractions, PolyFractions, or other values with +, *
+and is_zero() (plain numbers are tested against 0).  Only
+rational_roots needs Fraction coefficients.  NFunc, the branch search
+in spectrum and interpolate do all their coefficient-list arithmetic
+here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+
+
+def is_zero(value):
+    """Zero test for any coefficient ring."""
+    if isinstance(value, (int, float, Fraction)):
+        return value == 0
+    return value.is_zero()
 
 
 def trim(p):
     p = list(p)
-    while p and p[-1] == 0:
+    while p and is_zero(p[-1]):
         p.pop()
     return p
 
 
-def degree(p):
-    return len(trim(p)) - 1
-
-
 def evaluate(p, x):
-    out = Fraction(0)
-    for c in reversed(p):
+    """Horner's rule seeded with the leading coefficient; 0 for []."""
+    if not p:
+        return 0
+    out = p[-1]
+    for c in p[-2::-1]:
         out = out * x + c
     return out
 
 
 def add(a, b):
-    n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+    n = min(len(a), len(b))
+    return trim([a[i] + b[i] for i in range(n)] + list(a[n:]) + list(b[n:]))
 
 
 def scale(p, k):
-    if k == 0:
+    if is_zero(k):
         return []
     return [c * k for c in p]
 
 
 def mul(a, b):
+    """Convolution; each slot starts from its first product, not a zero."""
     a, b = trim(a), trim(b)
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
         for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return trim(out)
+            piece = ca * cb
+            out[i + j] = piece if out[i + j] is None else out[i + j] + piece
+    return out
 
 
-def divmod_poly(a, b):
-    a, b = trim(a), trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and trim(r):
-        shift = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r = trim(r) if r and r[-1] == 0 else r
-        while r and r[-1] == 0:
-            r.pop()
-    return trim(q), trim(r)
+def syndiv(p, r):
+    """Divide by (x - r): (quotient, remainder), the remainder being p(r)."""
+    if len(p) < 2:
+        return [], (p[0] if p else 0)
+    out = [p[-1]]
+    for c in p[-2:0:-1]:
+        out.append(out[-1] * r + c)
+    return out[::-1], out[-1] * r + p[0]
 
 
-def to_integer(p):
-    """Return (integer coefficient list, Fraction scale) with p = scale*ints."""
-    p = trim(p)
-    if not p:
-        return [], Fraction(1)
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        g = 1
-    return [v // g for v in ints], Fraction(g, den)
+def divide_out(p, r, limit=None):
+    """Strip up to limit factors (x - r) from p: (quotient, how many)."""
+    count = 0
+    while len(p) > 1 and count != limit:
+        quotient, remainder = syndiv(p, r)
+        if not is_zero(remainder):
+            break
+        p, count = quotient, count + 1
+    return p, count
+
+
+def shift(p, s):
+    """Coefficients of p(x + s), by the Taylor shift."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] = p[j] + p[j + 1] * s
+    return p
 
 
 def _divisors(n):
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
 
 
 def rational_roots(p):
-    """All rational roots with multiplicity, ascending."""
+    """All rational roots with multiplicity, ascending; Fraction p only."""
     p = trim(p)
-    if degree(p) < 1:
-        return []
     roots = []
-    zero_mult = 0
-    while p and p[0] == 0:
-        zero_mult += 1
+    zeros = 0
+    while len(p) > 1 and p[0] == 0:
         p = p[1:]
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if degree(p) >= 1:
-        ints, _ = to_integer(p)
-        head, tail = ints[-1], ints[0]
-        seen = set()
-        for num in _divisors(tail):
-            for den in _divisors(head):
-                for s in (1, -1):
-                    cand = Fraction(s * num, den)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    if evaluate(p, cand) == 0:
-                        mult = 0
-                        while True:
-                            q, r = divmod_poly(p, [-cand, Fraction(1)])
-                            if r:
-                                break
-                            p = q
-                            mult += 1
-                        roots.append((cand, mult))
+        zeros += 1
+    if zeros:
+        roots.append((Fraction(0), zeros))
+    if len(p) > 1:
+        den = lcm(*(c.denominator for c in p))
+        ints = [int(c * den) for c in p]
+        g = gcd(*ints)
+        candidates = {
+            Fraction(s * num, d)
+            for num in _divisors(ints[0] // g)
+            for d in _divisors(ints[-1] // g)
+            for s in (1, -1)
+        }
+        for cand in sorted(candidates):
+            p, mult = divide_out(p, cand)
+            if mult:
+                roots.append((cand, mult))
     return sorted(roots)

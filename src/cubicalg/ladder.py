@@ -22,22 +22,14 @@ from fractions import Fraction
 from . import casimir
 from .casimir import comm
 from .errors import (
+    CubicalgError,
     NonPolynomialStructure,
-    ShiftInconsistency,
     SingularSystem,
     UnsupportedCase,
 )
 from .exactnum import ExactDivisionError, MultiPoly, NFunc, PolyFraction
 
 MAX_PHI_DEGREE = 10
-
-
-def _as_nfunc(table, value):
-    if isinstance(value, NFunc):
-        return value
-    if isinstance(value, (int, Fraction, MultiPoly, PolyFraction)):
-        return NFunc(table, [value])
-    raise TypeError("cannot use %r in the ladder ring" % (value,))
 
 
 class PhiPoly:
@@ -74,7 +66,7 @@ class PhiPoly:
         return self + (-other)
 
     def scaled(self, factor):
-        factor = _as_nfunc(self.table, factor)
+        factor = NFunc.coerce(self.table, factor)
         return PhiPoly(
             self.scalar * factor,
             {j: c * factor for j, c in self.linear.items()},
@@ -138,15 +130,15 @@ class LadderExpr:
 
     @classmethod
     def from_scalar(cls, table, value):
-        return cls(table, {0: PhiPoly(_as_nfunc(table, value))})
+        return cls(table, {0: PhiPoly(NFunc.coerce(table, value))})
 
     @classmethod
     def raising(cls, table, value):
-        return cls(table, {1: PhiPoly(_as_nfunc(table, value))})
+        return cls(table, {1: PhiPoly(NFunc.coerce(table, value))})
 
     @classmethod
     def lowering(cls, table, value):
-        return cls(table, {-1: PhiPoly(_as_nfunc(table, value))})
+        return cls(table, {-1: PhiPoly(NFunc.coerce(table, value))})
 
     def is_zero(self):
         return not self.parts
@@ -176,7 +168,7 @@ class LadderExpr:
         return self + (-other)
 
     def scaled(self, factor):
-        factor = _as_nfunc(self.table, factor)
+        factor = NFunc.coerce(self.table, factor)
         return LadderExpr(
             self.table, {m: f.scaled(factor) for m, f in self.parts.items()}
         )
@@ -360,7 +352,7 @@ def derive_structure_function(spec, k):
     """
     table = spec.table
     if not isinstance(k, PolyFraction):
-        k = NFunc._lift(table, k)
+        k = NFunc.coerce(table, k).coefficient(0)
     realization = derive_realization(spec)
     a_expr, b_expr, c_expr = generators(spec, realization)
     one = LadderExpr.from_scalar(table, 1)
@@ -376,7 +368,7 @@ def derive_structure_function(spec, k):
     for eq in (eq_closure, eq_central):
         part = eq.component(0)
         if any(j not in (0, 1) for j in part.linear):
-            raise ShiftInconsistency(
+            raise CubicalgError(
                 "unexpected structure-symbol shifts %s at offset zero"
                 % sorted(part.linear)
             )
@@ -402,7 +394,7 @@ def derive_structure_function(spec, k):
     phi0 = (a2 * r1 - a1 * r2) * inv_det
     phi1 = (r2 * b1 - r1 * b2) * inv_det
     if phi1 != phi0.shift(1):
-        raise ShiftInconsistency(
+        raise CubicalgError(
             "the two offset-zero solutions are not shifts of one function"
         )
     if not phi0.is_polynomial():
@@ -423,7 +415,7 @@ def derive_structure_function(spec, k):
     for label, eq in checks:
         residual = eq.substitute_phi(phi0)
         if not residual.is_zero():
-            raise ShiftInconsistency(
+            raise CubicalgError(
                 "%s leaves a nonzero residual at offsets %s"
                 % (label, residual.offsets())
             )

@@ -11,6 +11,7 @@ floating point; the exact modules never depend on it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -34,6 +35,7 @@ __all__ = [
     "MAX_GRID",
     "MAX_LEVELS",
     "check_level_budget",
+    "check_float_range",
     "q5_levels",
     "compare",
     "box_ground",
@@ -242,6 +244,24 @@ def check_level_budget(a, cutoff, n):
         )
 
 
+def check_float_range(a, cutoff):
+    """Refuse an a whose float arithmetic in q5_levels over- or underflows.
+
+    The y rungs divide by 4 a^2, and once cutoff reaches the lowest rung
+    the x potentials divide by 8 a^4; both must be normal floats.
+    """
+    try:
+        scale = 4.0 * float(a) ** 2
+    except OverflowError:
+        scale = math.inf
+    divisors = [scale, scale * scale / 2.0] if cutoff * scale > 1.0 else [scale]
+    if not all(math.isfinite(v) and v >= sys.float_info.min for v in divisors):
+        raise ValueError(
+            "a is out of the float range: 4*a^2 and, when cutoff reaches"
+            " the first level, 8*a^4 must be normal floats"
+        )
+
+
 def q5_levels(a=1.0, cutoff=6.0, n=2000, l_over_a=12.0):
     """Sorted planar levels below cutoff from the separated slices.
 
@@ -252,6 +272,7 @@ def q5_levels(a=1.0, cutoff=6.0, n=2000, l_over_a=12.0):
     if not math.isfinite(cutoff):
         raise ValueError("cutoff must be finite, got %r" % (cutoff,))
     check_level_budget(a, cutoff, n)
+    check_float_range(a, cutoff)
     ey0 = y_levels_analytic(1, a)[0]
     bound = cutoff - ey0
     if bound <= 0.0:

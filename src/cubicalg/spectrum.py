@@ -11,14 +11,16 @@ such rather than approximated.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import algebra, ladder
 from .errors import SingularSystem, UnresolvedFactor
+from .exactnum import upoly
 from .exactnum.errors import ExactDivisionError
+from .exactnum.interpolate import lagrange
 from .exactnum.linsolve import InconsistentSystem, RankDeficientSystem, solve_fractions
 from .exactnum.nfunc import NFunc
 from .exactnum.polyfraction import PolyFraction
-from .exactnum.upoly import rational_roots
 
 # Rational sample points for the energy; any generic values work, the
 # exact division step rejects every accidental match.
@@ -77,16 +79,6 @@ class Verdict:
     p: int
     unitary: bool
     failure_level: object
-
-
-def _deflate(coeffs, root):
-    """Divide an ascending coefficient list by (x - root)."""
-    rev = list(reversed(coeffs))
-    out = [rev[0]]
-    for c in rev[1:-1]:
-        out.append(c + root * out[-1])
-    rem = rev[-1] + root * out[-1] if len(rev) > 1 else rev[0]
-    return list(reversed(out)), rem
 
 
 def _atom_symbol(atom, table):
@@ -246,21 +238,7 @@ def _sampled_roots(coeffs, param, point):
         name: (point if name == param else Fraction(1)) for name in table.symbols
     }
     flat = [c.evaluate(mapping) for c in coeffs]
-    return rational_roots(flat)
-
-
-def _fit_through(points):
-    """Polynomial fit through (sample, value) pairs, ascending coefficients."""
-    degree = len(points) - 1
-    matrix = [[x ** d for d in range(degree + 1)] for x, _ in points]
-    rhs = [v for _, v in points]
-    return solve_fractions(matrix, rhs)
-
-
-def _trim_fit(fit):
-    while fit and fit[-1] == 0:
-        fit = fit[:-1]
-    return tuple(fit)
+    return upoly.rational_roots(flat)
 
 
 def branch_roots(phi, param=ENERGY_SYMBOL):
@@ -284,7 +262,8 @@ def branch_roots(phi, param=ENERGY_SYMBOL):
         flat = None
     if flat is not None:
         found = [
-            Branch(PolyFraction.const(table, r), m) for r, m in rational_roots(flat)
+            Branch(PolyFraction.const(table, r), m)
+            for r, m in upoly.rational_roots(flat)
         ]
         if sum(b.multiplicity for b in found) < phi.degree():
             raise UnresolvedFactor("no rational split of %s" % phi.format())
@@ -305,26 +284,20 @@ def branch_roots(phi, param=ENERGY_SYMBOL):
     for fit_degree in range(max_fit + 1):
         if len(work) <= 1:
             break
-        candidates = []
-        seen = set()
-        for combo in _root_tuples(samples[: fit_degree + 1]):
-            fit = _trim_fit(_fit_through(combo))
+        candidates = set()
+        # one (sample, root) pair per sample, every combination
+        for combo in product(*(
+            [(point, r) for r, _ in roots]
+            for point, roots in samples[: fit_degree + 1]
+        )):
+            fit = lagrange(combo)
             if len(fit) != fit_degree + 1 and fit_degree:
                 continue
             lifted = _lift_candidate(table, fit, param, axes, omega, gamma)
-            if lifted is None or lifted in seen:
-                continue
-            seen.add(lifted)
-            candidates.append(lifted)
-        candidates.sort(key=lambda pf: pf.format())
-        for cand in candidates:
-            multiplicity = 0
-            while len(work) > 1:
-                quotient, remainder = _deflate(work, cand)
-                if not remainder.is_zero():
-                    break
-                work = quotient
-                multiplicity += 1
+            if lifted is not None:
+                candidates.add(lifted)
+        for cand in sorted(candidates, key=lambda pf: pf.format()):
+            work, multiplicity = upoly.divide_out(work, cand)
             if multiplicity:
                 found.append(Branch(cand, multiplicity))
     if len(work) > 1:
@@ -333,27 +306,6 @@ def branch_roots(phi, param=ENERGY_SYMBOL):
         )
     found.sort(key=lambda b: (b.root.num.total_degree(), b.root.format()))
     return tuple(found)
-
-
-def _root_tuples(samples):
-    """Cartesian root choices, one (sample, root) pair per sample."""
-    combos = [[]]
-    for point, roots in samples:
-        combos = [prefix + [(point, r)] for prefix in combos for r, _ in roots]
-    return combos
-
-
-def _compose(phi, offset):
-    """Polynomial composition Phi(offset + x) as a function of x."""
-    if not phi.is_polynomial():
-        raise ValueError("Phi must be polynomial: %s" % phi.format())
-    table = phi.table
-    base = NFunc.nu(table) + offset
-    out = NFunc.const(table, 0)
-    for k, c in enumerate(phi.coefficients()):
-        if not c.is_zero():
-            out = out + base ** k * c
-    return out
 
 
 def _factor_levels(phi_x, known):
@@ -369,7 +321,7 @@ def _factor_levels(phi_x, known):
     lead = coeffs[-1]
     roots = []
     for r in known:
-        coeffs, remainder = _deflate(coeffs, r)
+        coeffs, remainder = upoly.syndiv(coeffs, r)
         if not remainder.is_zero():
             raise UnresolvedFactor("Phi does not vanish at %s" % r.format())
         roots.append(r)
@@ -448,7 +400,7 @@ def energy_families(phi, param=ENERGY_SYMBOL, level=LEVEL_SYMBOL):
                 table, [c.substitute(subs) for c in phi.coefficients()]
             )
             lowest = bi.root.substitute(subs)
-            phi_x = _compose(phi_e, lowest)
+            phi_x = phi_e.shift(lowest)
             lead, roots, residual = _factor_levels(
                 phi_x, (PolyFraction.const(table, 0), level_sym + 1)
             )

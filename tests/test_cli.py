@@ -261,6 +261,45 @@ def test_level_budget_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["numeric", "compare"])
+@pytest.mark.parametrize("a", ["1e-400", "1e-200"])
+def test_a_out_of_float_range_exits_2(capsys, subcommand, a):
+    # at 1e-200, 4.0*a*a is 0.0: the y rungs would divide by zero
+    assert cli.main([subcommand, "--a", a] + FAST) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_tiny_a_runs_with_no_level_below_the_cutoff(tmp_path):
+    code, doc = run_json(["numeric", "--a", "1e-100"] + FAST, tmp_path)
+    assert code == 0
+    assert doc["levels"] == []
+
+
+def test_tiny_a_exits_2_once_the_cutoff_reaches_its_levels(capsys):
+    # the x potentials would divide by 8*a^4, which is 0.0 at a = 1e-100
+    argv = ["numeric", "--a", "1e-100", "--cutoff", "1e200", "--grid", "100"]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [
+    "(E + 1)^100000000",
+    "(" * 3000 + "1" + ")" * 3000,
+])
+def test_oversized_constant_exits_2_at_once(tmp_path, alpha):
+    cfg = tmp_path / "big.ini"
+    cfg.write_text(INLINE_Q5.replace("alpha = 0", "alpha = " + alpha))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicalg.cli", "derive", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def config_args(path):
     return argparse.Namespace(
         config=str(path), preset=None, p_max=None, a=None, grid=None,

@@ -1,10 +1,10 @@
-"""Exact interpolation with degree bounds."""
+"""Exact Lagrange interpolation."""
 
 from fractions import Fraction
 
 import pytest
 
-from cubicalg.exactnum import DegreeBoundExceeded, fit_with_degree_bound, lagrange, upoly
+from cubicalg.exactnum import lagrange, upoly
 
 
 class TestLagrange:
@@ -27,14 +27,3 @@ class TestLagrange:
         with pytest.raises(ValueError):
             lagrange([(1, 1), (1, 2)])
 
-
-class TestDegreeBound:
-    def test_consistent_extra_samples_pass(self):
-        f = [Fraction(1), Fraction(2)]
-        pts = [(x, upoly.evaluate(f, Fraction(x))) for x in range(6)]
-        assert fit_with_degree_bound(pts, 1) == f
-
-    def test_violation_raises(self):
-        pts = [(x, Fraction(x * x)) for x in range(6)]
-        with pytest.raises(DegreeBoundExceeded):
-            fit_with_degree_bound(pts, 1)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicalg.exactnum import (
     MultiPoly,
@@ -11,6 +13,7 @@ from cubicalg.exactnum import (
     SymbolTable,
     parse,
 )
+from cubicalg.exactnum import parser
 
 TABLE = SymbolTable(
     ("E", "h", "a", "u", "p", "x"),
@@ -113,3 +116,78 @@ class TestRoundTrip:
     def test_format_of_parsed_canonical(self):
         v = parse("(a + x)/(x-a)/a", WTABLE)
         assert parse(v.format(), WTABLE) == v
+
+
+class TestBounds:
+    def test_huge_exponent_is_refused(self):
+        with pytest.raises(ParseError):
+            parse("2^" + "9" * 3000, TABLE)
+
+    def test_power_past_the_term_bound_is_refused(self):
+        with pytest.raises(ParseError) as info:
+            parse("(E + 1)^100000000", TABLE)
+        assert info.value.position == 8
+
+    def test_deep_nesting_is_refused(self):
+        with pytest.raises(ParseError):
+            parse("(" * 3000 + "1" + ")" * 3000, TABLE)
+        depth = parser.MAX_DEPTH
+        assert parse("(" * depth + "x" + ")" * depth, TABLE) == mono(TABLE, "x")
+
+    def test_long_integer_is_refused(self):
+        with pytest.raises(ParseError):
+            parse("7" * (parser.MAX_DIGITS + 1), TABLE)
+        with pytest.raises(ParseError):
+            parse("2^%d" % parser.MAX_BITS, TABLE)
+
+    def test_values_within_the_bounds_parse(self):
+        assert len(parse("(E + 1)^100", TABLE).num.terms) == 101
+        assert parse("1^" + "9" * 1000, TABLE) == PolyFraction.const(TABLE, 1)
+        assert parse("2^%d" % (parser.MAX_BITS // 2 - 1), TABLE) == (
+            PolyFraction.const(TABLE, 2 ** (parser.MAX_BITS // 2 - 1)))
+
+
+# Fuzzing: every text ends in a value or a ParseError, and every value
+# prints to text that parses back to it.  Small exponents keep the
+# generated values well inside the size bounds.
+ALPHABET = "0123456789 Ehaupxyi()^*/+-"
+FUZZ = settings(max_examples=300, deadline=2000)
+
+
+def expressions():
+    leaves = st.one_of(
+        st.integers(0, 10 ** 6).map(str),
+        st.sampled_from(("E", "h", "a", "u", "p", "x", "y", "i")),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+            inner.map("({})".format),
+            inner.map("-({})".format),
+            st.tuples(inner, st.integers(0, 5)).map(lambda t: "(%s)^%d" % t),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def parsed_or_refused(text, table):
+    try:
+        value = parse(text, table)
+    except ParseError:
+        return None
+    assert isinstance(value, PolyFraction)
+    assert parse(value.format(), table) == value
+    return value
+
+
+@FUZZ
+@given(st.text(ALPHABET, max_size=40), st.sampled_from((TABLE, WTABLE)))
+def test_fuzz_text_over_the_alphabet(text, table):
+    parsed_or_refused(text, table)
+
+
+@FUZZ
+@given(expressions(), st.sampled_from((TABLE, WTABLE)))
+def test_fuzz_grammar_expressions_round_trip(text, table):
+    parsed_or_refused(text, table)

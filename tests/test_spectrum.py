@@ -85,6 +85,29 @@ def test_q5_family_product_reconstruction(catalog):
         assert product * family.lead == family.phi_levels
 
 
+def compose_by_powers(phi, offset):
+    """Phi(offset + x) summed as c_k (x + offset)^k: the reference shift."""
+    table = phi.table
+    base = NFunc.nu(table) + offset
+    out = NFunc.const(table, 0)
+    for k, c in enumerate(phi.coefficients()):
+        if not c.is_zero():
+            out = out + base ** k * c
+    return out
+
+
+def test_q5_phi_levels_match_composition_by_powers(catalog):
+    phi = spectrum.q5_structure_function().phi
+    _, families, _ = catalog
+    assert len(families) == 6
+    for fam in families:
+        subs = {"E": fam.energy}
+        phi_e = NFunc.from_coeffs(
+            phi.table, [c.substitute(subs) for c in phi.coefficients()]
+        )
+        assert fam.phi_levels == compose_by_powers(phi_e, fam.lowest)
+
+
 def test_q5_pinned_pairs(catalog):
     branches, _, pinned = catalog
     seen = {

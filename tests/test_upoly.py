@@ -1,8 +1,23 @@
-"""Univariate polynomial division and rational roots over exact rationals."""
+"""Univariate polynomial helpers over Fraction and PolyFraction coefficients.
 
+trim, evaluate, mul, syndiv and shift are checked against sympy on
+seeded random coefficient lists in both rings.
+"""
+
+import random
 from fractions import Fraction
 
-from cubicalg.exactnum import upoly
+import pytest
+
+from cubicalg.exactnum import PolyFraction, SymbolTable, upoly
+
+sympy = pytest.importorskip("sympy")
+
+TABLE = SymbolTable(("E", "h", "a"), atoms=("h", "a"))
+SYMBOLS = {name: sympy.Symbol(name) for name in TABLE.symbols}
+X = sympy.Symbol("x")
+E, H, A = (PolyFraction.sym(TABLE, name) for name in TABLE.symbols)
+CASES = 40
 
 
 def poly(*coeffs):
@@ -10,12 +25,98 @@ def poly(*coeffs):
     return [Fraction(c) for c in coeffs]
 
 
+def random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def random_scalar(rng):
+    """A PolyFraction with up to three terms E^i h^j a^k, -2 <= k <= 2."""
+    out = PolyFraction.const(TABLE, 0)
+    for _ in range(rng.randint(1, 3)):
+        out = out + random_fraction(rng) * (
+            E ** rng.randint(0, 2) * H ** rng.randint(0, 2)
+            * A ** rng.randint(-2, 2)
+        )
+    return out
+
+
+RINGS = {"fraction": random_fraction, "polyfraction": random_scalar}
+
+
+def to_sympy(value):
+    if isinstance(value, PolyFraction):
+        return sympy.sympify(value.format().replace("^", "**"), locals=SYMBOLS)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def as_sympy_poly(coeffs):
+    return sum((to_sympy(c) * X ** k for k, c in enumerate(coeffs)),
+               sympy.Integer(0))
+
+
+def is_zero_expr(expr):
+    return sympy.expand(expr) == 0
+
+
+def random_lists(ring):
+    rng = random.Random("upoly-%s" % ring)
+    make = RINGS[ring]
+    for _ in range(CASES):
+        p = [make(rng) for _ in range(rng.randint(0, 5))]
+        yield p, make(rng)
+
+
 class TestBasics:
-    def test_divmod(self):
+    def test_syndiv(self):
         # (x^2 - 1) = (x - 1)(x + 1)
-        q, r = upoly.divmod_poly(poly(-1, 0, 1), poly(-1, 1))
+        q, r = upoly.syndiv(poly(-1, 0, 1), Fraction(1))
         assert q == poly(1, 1)
-        assert r == []
+        assert r == 0
+
+    def test_trim_in_both_rings(self):
+        zero = PolyFraction.const(TABLE, 0)
+        one = PolyFraction.const(TABLE, 1)
+        assert upoly.trim([one, zero, zero]) == [one]
+        assert upoly.trim([zero]) == []
+        assert upoly.trim(poly(1, 0, 2, 0)) == poly(1, 0, 2)
+
+    def test_is_zero_in_every_ring(self):
+        assert upoly.is_zero(0) and upoly.is_zero(0.0)
+        assert upoly.is_zero(Fraction(0))
+        assert upoly.is_zero(PolyFraction.const(TABLE, 0))
+        assert not upoly.is_zero(PolyFraction.const(TABLE, 1))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+class TestAgainstSympy:
+    def test_syndiv(self, ring):
+        for p, r in random_lists(ring):
+            q, rem = upoly.syndiv(p, r)
+            assert len(q) == max(len(p) - 1, 0)
+            lhs = as_sympy_poly(q) * (X - to_sympy(r)) + to_sympy(rem)
+            assert is_zero_expr(lhs - as_sympy_poly(p))
+
+    def test_shift(self, ring):
+        for p, s in random_lists(ring):
+            shifted = upoly.shift(p, s)
+            want = as_sympy_poly(p).subs(X, X + to_sympy(s))
+            assert is_zero_expr(as_sympy_poly(shifted) - want)
+
+    def test_evaluate(self, ring):
+        for p, x in random_lists(ring):
+            got = upoly.evaluate(p, x)
+            want = as_sympy_poly(p).subs(X, to_sympy(x))
+            assert is_zero_expr(to_sympy(got) - want)
+
+    def test_mul(self, ring):
+        rng = random.Random("upoly-mul-%s" % ring)
+        make = RINGS[ring]
+        for _ in range(CASES):
+            a = [make(rng) for _ in range(rng.randint(0, 4))]
+            b = [make(rng) for _ in range(rng.randint(0, 4))]
+            got = upoly.mul(a, b)
+            want = as_sympy_poly(a) * as_sympy_poly(b)
+            assert is_zero_expr(as_sympy_poly(got) - want)
 
 
 class TestRoots:
