@@ -208,7 +208,10 @@ def _float_energy(energy, cfg, p):
     """The energy at h = 1, the configured a and p; other symbols are 0."""
     values = dict.fromkeys(energy.table.symbols, Fraction(0))
     values.update(h=Fraction(1), a=cfg.a, p=Fraction(p))
-    return float(energy.evaluate(values))
+    try:
+        return float(energy.evaluate(values))
+    except OverflowError:
+        raise ConfigError("a too small: the energy at p = %d overflows" % p)
 
 
 def _energy_entry(energy, cfg, samples=(0, 1, 2)):
@@ -373,9 +376,12 @@ def run_repcheck(cfg):
                     "max_residual": str(worst),
                 })
             if spectrum.unitarity_verdict(fam, p).unitary:
-                worst = repcheck.symmetric_gauge_residual(
-                    module, derived.spec, values
-                )
+                try:
+                    worst = repcheck.symmetric_gauge_residual(
+                        module, derived.spec, values
+                    )
+                except OverflowError:
+                    raise ConfigError("a too small: the float gauge overflows")
                 ok = ok and worst <= 1e-10
                 rows.append({
                     "family": label,

@@ -351,8 +351,10 @@ def derive_structure_function(spec, k):
     substituted back into every offset of every relation.
     """
     table = spec.table
-    if not isinstance(k, PolyFraction):
-        k = NFunc.coerce(table, k).coefficient(0)
+    lifted = PolyFraction.coerce(table, k)
+    if lifted is None:
+        raise TypeError("cannot use %r as the central value" % (k,))
+    k = lifted
     realization = derive_realization(spec)
     a_expr, b_expr, c_expr = generators(spec, realization)
     one = LadderExpr.from_scalar(table, 1)

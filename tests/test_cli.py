@@ -269,6 +269,19 @@ def test_a_out_of_float_range_exits_2(capsys, subcommand, a):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--a", "1e-154"],
+    ["compare", "--a", "1e-154"] + FAST,
+    ["repcheck", "--a", "1e-39"],
+])
+def test_float_overflow_past_a_exits_2(capsys, argv):
+    # a passes RunConfig, but the family energies grow as 1/a^2 and the
+    # float gauge's constants as higher powers of 1/a: float() overflows
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: a too small" in err
+
+
 def test_tiny_a_runs_with_no_level_below_the_cutoff(tmp_path):
     code, doc = run_json(["numeric", "--a", "1e-100"] + FAST, tmp_path)
     assert code == 0
