@@ -122,23 +122,34 @@ def transfer_scalar(value, target):
     return PolyFraction(num, tuple(den))
 
 
-def scalar_to_operator(value, suite=None):
+def hamiltonian_powers(suite, top):
+    """[H^0, H^1, ..., H^top] for the suite's Hamiltonian."""
+    one = weylop.DiffOp.from_scalar(suite.table, 1)
+    powers = [one, suite.hamiltonian][: top + 1]
+    while len(powers) <= top:
+        powers.append(powers[-1] * suite.hamiltonian)
+    return powers
+
+
+def scalar_to_operator(value, suite=None, powers=None):
     """Map a polynomial in the energy to the matching operator.
 
     value is a PolyFraction over the master table, polynomial in E with
-    coefficients in the scales; E becomes the Hamiltonian.
+    coefficients in the scales; E becomes the Hamiltonian.  powers, when
+    given, is hamiltonian_powers(suite, top) for a top at least value's
+    degree in E.
     """
     if suite is None:
         suite = weylop.suite()
     coeffs = value.univariate_in("E")
+    if powers is None:
+        powers = hamiltonian_powers(suite, len(coeffs) - 1)
+    elif len(powers) < len(coeffs):
+        raise ValueError("need H powers up to %d" % (len(coeffs) - 1))
     out = weylop.DiffOp.zero(suite.table)
-    h_power = weylop.DiffOp.from_scalar(suite.table, 1)
-    for k, c in enumerate(coeffs):
-        if k:
-            h_power = h_power * suite.hamiltonian
-        if c.is_zero():
-            continue
-        out = out + transfer_scalar(c, suite.table) * h_power
+    for c, h_power in zip(coeffs, powers):
+        if not c.is_zero():
+            out = out + transfer_scalar(c, suite.table) * h_power
     return out
 
 
@@ -172,20 +183,25 @@ def q5_algebra():
     A = suite.first_integral
     B = suite.second_integral
     C = suite.commutator
-    one = weylop.DiffOp.from_scalar(suite.table, 1)
+    # H^0..H^4 serve both bases, the Casimir scalars and the k basis
+    powers = hamiltonian_powers(suite, 4)
+    one, _, h2, h3, _ = powers
     aa = A * A
     ab_sym = weylop.acomm(A, B)
+    aah = aa * H
+    ah = A * H  # H and A commute, so this is H*A as well
+    bh = B * H
     closure_basis = [
         ("A3", aa * A),
-        ("A2H", aa * H),
-        ("H3", H * H * H),
+        ("A2H", aah),
+        ("H3", h3),
         ("B2", B * B),
         ("AB_sym", ab_sym),
         ("A2", aa),
-        ("HA", H * A),
-        ("H2", H * H),
+        ("HA", ah),
+        ("H2", h2),
         ("B", B),
-        ("BH", B * H),
+        ("BH", bh),
         ("A", A),
         ("H", H),
         ("one", one),
@@ -193,18 +209,18 @@ def q5_algebra():
     closure = weylop.express_in_basis(weylop.comm(B, C), closure_basis)
     linear_basis = [
         ("B", B),
-        ("BH", B * H),
+        ("BH", bh),
         ("A2", aa),
-        ("A2H", aa * H),
+        ("A2H", aah),
         ("AB_sym", ab_sym),
         ("ABH_sym", ab_sym * H),
         ("A", A),
-        ("AH", A * H),
-        ("AH2", A * H * H),
+        ("AH", ah),
+        ("AH2", ah * H),
         ("one", one),
         ("H", H),
-        ("H2", H * H),
-        ("H3", H * H * H),
+        ("H2", h2),
+        ("H3", h3),
     ]
     linear = weylop.express_in_basis(weylop.comm(A, C), linear_basis)
     master = master_table()
@@ -251,11 +267,11 @@ def q5_algebra():
     )
     scalars = spec.casimir_values()
     op_coeffs = {
-        name: scalar_to_operator(value, suite)
+        name: scalar_to_operator(value, suite, powers)
         for name, value in scalars.items()
     }
     k_op = casimir.realize(op_coeffs, A, B, C)
-    k_basis = [("one", one)] + [("H%d" % n, H ** n) for n in range(1, 5)]
+    k_basis = [("one", one)] + [("H%d" % n, powers[n]) for n in range(1, 5)]
     k_parts = weylop.express_in_basis(k_op, k_basis)
     k_value = transfer_scalar(k_parts["one"], master)
     for n in range(1, 5):

@@ -67,8 +67,6 @@ class RunConfig:
             raise ConfigError("unknown preset %r" % self.preset)
         if self.a <= 0:
             raise ConfigError("a must be positive")
-        if self.grid < 3:
-            raise ConfigError("grid must have at least three points")
         for name in ("cutoff", "tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

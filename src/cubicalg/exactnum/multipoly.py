@@ -204,14 +204,15 @@ class MultiPoly:
         n = int(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.table, 1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return MultiPoly.const(self.table, 1) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

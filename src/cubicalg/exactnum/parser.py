@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import ExactDivisionError, ParseError
 from .multipoly import MultiPoly
@@ -91,11 +91,29 @@ def _integer(text, pos):
     return int(text)
 
 
+def _symbols(value):
+    """Symbols in the numerator or in an atom of the denominator."""
+    used = set()
+    for exps in value.num.terms:
+        used.update(j for j, e in enumerate(exps) if e)
+    for k, e in enumerate(value.den):
+        if e:
+            used.update(j for j, _ in value.table.atoms[k].terms)
+    return used
+
+
 def _product(a, b, pos):
     """a * b; each coefficient over the common denominators is a sum of
-    at most min(terms) products of integers."""
+    at most min(terms) products of integers.
+
+    The product has at most terms(a) * terms(b) terms, and no more than
+    the C(v + d, v) monomials of degree <= d in its v symbols, d being
+    the summed degree; cancelling a denominator atom uses only the
+    atom's symbols and lowers the degree."""
     (ta, ba, ga), (tb, bb, gb) = _size(a), _size(b)
-    _check("product", pos, ta * tb, ba + bb + (min(ta, tb) - 1).bit_length(),
+    v, d = len(_symbols(a) | _symbols(b)), ga + gb
+    terms = min(ta * tb, comb(v + d, v))
+    _check("product", pos, terms, ba + bb + (min(ta, tb) - 1).bit_length(),
            ga + gb)
     return a * b
 

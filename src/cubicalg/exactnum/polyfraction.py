@@ -27,6 +27,7 @@ involve it.  An atom that involves it falls back to MultiPoly.try_div.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import ExactDivisionError, PoleError
@@ -108,20 +109,27 @@ class PolyFraction:
 
     def _den_poly(self, exps=None):
         exps = self.den if exps is None else exps
-        out = MultiPoly.const(self.table, 1)
+        out = None
         for k, e in enumerate(exps):
             if e:
-                out = out * MultiPoly.from_atom(self.table, k) ** e
-        return out
+                power = MultiPoly.from_atom(self.table, k) ** e
+                out = power if out is None else out * power
+        return MultiPoly.const(self.table, 1) if out is None else out
+
+    def _lifted(self, target):
+        """The numerator over the larger denominator target."""
+        if target == self.den:
+            return self.num
+        return self.num * self._den_poly(
+            tuple(t - e for t, e in zip(target, self.den))
+        )
 
     def __add__(self, other):
         other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
         target = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        lift_self = self._den_poly(tuple(t - a for t, a in zip(target, self.den)))
-        lift_other = self._den_poly(tuple(t - b for t, b in zip(target, other.den)))
-        return PolyFraction(self.num * lift_self + other.num * lift_other, target)
+        return PolyFraction(self._lifted(target) + other._lifted(target), target)
 
     __radd__ = __add__
 
@@ -340,6 +348,34 @@ def _point(j):
     return (j + 1) * 0x9E3779B97F4A7C15 % _P
 
 
+@lru_cache(maxsize=None)
+def _points(nvars):
+    """_point(j) for each symbol of a table with nvars symbols."""
+    return tuple(_point(j) for j in range(nvars))
+
+
+def _mod_p(num, point):
+    """num mod _P with symbol j at point[j].
+
+    Returns None when some coefficient denominator is divisible by _P,
+    where the value is undefined.
+    """
+    powers = {}
+    acc_num, acc_den = 0, 1
+    for exps, coeff in num.terms.items():
+        term, den = coeff.as_integer_ratio()
+        if den % _P == 0:
+            return None
+        for j, e in enumerate(exps):
+            if e:
+                if (j, e) not in powers:
+                    powers[j, e] = pow(point[j], e, _P)
+                term *= powers[j, e]
+        acc_num = (acc_num * den + term * acc_den) % _P
+        acc_den = acc_den * den % _P
+    return acc_num * pow(acc_den, -1, _P) % _P
+
+
 def _residue(num, s, root):
     """num at s := root and symbol j := _point(j) otherwise, mod _P.
 
@@ -347,7 +383,7 @@ def _residue(num, s, root):
     constant term.  Returns 0 when some denominator is divisible by _P,
     where the residue is undefined and the filter must not reject.
     """
-    point = [_point(j) for j in range(num.table.nvars)]
+    point = list(_points(num.table.nvars))
     value = 0
     for j, c in root:
         if c.denominator % _P == 0:
@@ -355,18 +391,7 @@ def _residue(num, s, root):
         term = c.numerator * pow(c.denominator, -1, _P)
         value += term if j is None else term * point[j]
     point[s] = value % _P
-    acc_num, acc_den = 0, 1
-    for exps, coeff in num.terms.items():
-        den = coeff.denominator
-        if den % _P == 0:
-            return 0
-        term = coeff.numerator
-        for v, e in zip(point, exps):
-            if e:
-                term = term * pow(v, e, _P) % _P
-        acc_num = (acc_num * den + term * acc_den) % _P
-        acc_den = acc_den * den % _P
-    return acc_num
+    return _mod_p(num, point) or 0
 
 
 def _descending(table, terms):

@@ -102,22 +102,31 @@ class DiffOp:
             other = lifted
         check_same(self.table, other.table)
         xname, yname = self.table.symbols[0], self.table.symbols[1]
+        # (part of other, kx, ky) -> its kx-th x and ky-th y derivative,
+        # shared by every part of self
+        memo = {}
+
+        def derivative(key, kx, ky):
+            got = memo.get((key, kx, ky))
+            if got is None:
+                if ky:
+                    got = derivative(key, kx, ky - 1).derivative(yname)
+                elif kx:
+                    got = derivative(key, kx - 1, 0).derivative(xname)
+                else:
+                    got = other.parts[key]
+                memo[key, kx, ky] = got
+            return got
+
         out = {}
         for (ax, ay), f in self.parts.items():
-            for (bx, by), g in other.parts.items():
-                # derivative caches for g along each axis
-                dx_cache = [g]
-                for _ in range(ax):
-                    dx_cache.append(dx_cache[-1].derivative(xname))
+            for part in other.parts:
+                bx, by = part
                 for kx in range(ax + 1):
-                    gx = dx_cache[kx]
-                    if gx.is_zero():
+                    if derivative(part, kx, 0).is_zero():
                         continue
-                    dy_cache = [gx]
-                    for _ in range(ay):
-                        dy_cache.append(dy_cache[-1].derivative(yname))
                     for ky in range(ay + 1):
-                        gxy = dy_cache[ky]
+                        gxy = derivative(part, kx, ky)
                         if gxy.is_zero():
                             continue
                         coeff = f * gxy * (comb(ax, kx) * comb(ay, ky))

@@ -261,6 +261,12 @@ def test_level_budget_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_grid_below_the_minimum_exits_2(capsys):
+    for grid in ("3", "49"):
+        assert cli.main(["numeric", "--grid", grid]) == 2
+        assert "grid must be at least 50" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand", ["numeric", "compare"])
 @pytest.mark.parametrize("a", ["1e-400", "1e-200"])
 def test_a_out_of_float_range_exits_2(capsys, subcommand, a):

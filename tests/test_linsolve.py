@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from cubicalg import algebra, casimir
 from cubicalg.exactnum import (
     InconsistentSystem,
     MultiPoly,
     RankDeficientSystem,
     SymbolTable,
+    linsolve,
     solve_exact,
     solve_fractions,
 )
+from cubicalg.exactnum.polyfraction import _P, _point
 
 TABLE = SymbolTable(("s", "t"))
 
@@ -75,6 +78,86 @@ class TestSolveExact:
         n, d = sol[0]
         assert n == s - t
         assert d == const(1)
+
+
+def value(pair):
+    num, den = pair
+    assert den.is_rational()
+    return num * (1 / den.as_fraction())
+
+
+class TestSquareSubsystem:
+    """Rows picked mod P, Bareiss on n of them, every other row checked."""
+
+    def test_entry_vanishing_at_the_point_falls_back(self):
+        s, t = sym("s"), sym("t")
+        # s - c is not zero but its residue is, so mod P the rank is 1
+        vanishing = s - _point(TABLE.index("s"))
+        rows = [[vanishing, const(0)], [const(0), const(1)],
+                [vanishing, const(1)]]
+        rhs = [vanishing * (t + 1), t, vanishing * (t + 1) + t]
+        assert linsolve._independent_rows(rows) is None
+        sol = solve_exact(rows, rhs)
+        assert [value(p) for p in sol] == [t + 1, t]
+        assert sol == linsolve._bareiss(rows, rhs)
+
+    def test_row_outside_the_subsystem_is_checked(self):
+        s = sym("s")
+        rows = [[const(1), const(0)], [const(0), const(1)], [s, s]]
+        assert linsolve._independent_rows(rows) == [0, 1]
+        sol = solve_exact(rows, [s, const(1), s * s + s])
+        assert [value(p) for p in sol] == [s, const(1)]
+        with pytest.raises(InconsistentSystem):
+            solve_exact(rows, [s, const(1), s * s])
+
+    def test_rank_deficient_overdetermined_system(self):
+        s, t = sym("s"), sym("t")
+        rows = [[s, s * 2], [const(1), const(2)], [t, t * 2]]
+        assert linsolve._independent_rows(rows) is None
+        with pytest.raises(RankDeficientSystem):
+            solve_exact(rows, [s, const(1), t])
+
+    def test_imaginary_entry_falls_back(self):
+        # evaluating i at an integer does not respect i^2 = -1
+        table = SymbolTable(("s", "i"), imaginary="i")
+        s, i = MultiPoly.sym(table, "s"), MultiPoly.sym(table, "i")
+        rows = [[i * s], [s]]
+        assert linsolve._independent_rows(rows) is None
+        (num, den), = solve_exact(rows, [i * s * s, s * s])
+        assert num * (1 / den.as_fraction()) == s
+
+    def test_denominator_divisible_by_p_falls_back(self):
+        s = sym("s")
+        tiny = const(Fraction(1, _P))
+        rows = [[tiny, const(0)], [const(0), s], [const(1), s]]
+        rhs = [s * tiny, s * s, s * s + s]
+        assert linsolve._independent_rows(rows) is None
+        assert [value(p) for p in solve_exact(rows, rhs)] == [s, s]
+
+
+def test_q5_systems_take_the_square_path(monkeypatch):
+    """The Casimir system and the three basis expansions of q5_algebra
+    are certified mod P, so Bareiss only ever sees square systems."""
+    shapes = []
+    picked = linsolve._independent_rows
+    eliminate = linsolve._bareiss
+
+    def record_pick(rows):
+        chosen = picked(rows)
+        shapes.append((len(rows), len(rows[0]), chosen is not None))
+        return chosen
+
+    def square_only(rows, rhs):
+        assert len(rows) == len(rows[0])
+        return eliminate(rows, rhs)
+
+    monkeypatch.setattr(linsolve, "_independent_rows", record_pick)
+    monkeypatch.setattr(linsolve, "_bareiss", square_only)
+    monkeypatch.setattr(casimir, "_COEFFS", None)
+    monkeypatch.setattr(algebra, "_Q5", None)
+    algebra.q5_algebra()
+    assert shapes == [(259, 13, True), (372, 13, True), (36, 9, True),
+                      (223, 5, True)]
 
 
 class TestSolveFractions:

@@ -140,6 +140,15 @@ class TestBounds:
         with pytest.raises(ParseError):
             parse("2^%d" % parser.MAX_BITS, TABLE)
 
+    def test_product_bound_counts_monomials_not_term_pairs(self):
+        # 166 terms squared is over MAX_TERMS, but the square has at most
+        # C(3 + 18, 3) = 1330 monomials in E, h and a
+        text = "((E + h + a + 1)^8 + 1/h)^2"
+        value = parse(text, TABLE)
+        assert len(value.num.terms) <= 1330
+        assert value.den == (2, 0)
+        assert parse(value.format(), TABLE) == value
+
     def test_values_within_the_bounds_parse(self):
         assert len(parse("(E + 1)^100", TABLE).num.terms) == 101
         assert parse("1^" + "9" * 1000, TABLE) == PolyFraction.const(TABLE, 1)

@@ -168,6 +168,20 @@ def test_level_budget_accepts_the_fd_inputs():
         sch.check_level_budget(1.0, 6.0, n)
 
 
+def test_q5_levels_refuses_a_grid_below_the_minimum():
+    # grid 3 gave 57 levels starting 1.784, 1.784, 1.847 against 41
+    # starting 2.2006 at grid 2000
+    for n in (3, sch.MIN_GRID - 1):
+        with pytest.raises(ValueError, match="at least"):
+            sch.q5_levels(1.0, cutoff=6.0, n=n)
+    for n in (sch.MIN_GRID, 400, 2000):
+        sch.check_level_budget(1.0, 6.0, n)
+    coarse = sch.q5_levels(1.0, cutoff=6.0, n=sch.MIN_GRID)
+    fine = sch.q5_levels(1.0, cutoff=6.0, n=2000)
+    assert len(coarse) == len(fine)
+    assert max(abs(c - f) for c, f in zip(coarse, fine)) < 2e-3
+
+
 def test_compare_report_semantics():
     levels = [1.0, 2.0, 3.0]
     rep = sch.compare([("g", 1.0005), ("x", 2.4)], levels, tol=1e-3)
