@@ -15,66 +15,118 @@ from fractions import Fraction
 
 from . import casimir, spectrum
 from .casimir import acomm, comm  # noqa: F401  (acomm re-exported)
+from .exactnum import PoleError
 
 
 class Matrix:
-    """Dense square matrix over any scalar: Fractions or floats."""
+    """Square matrix over any scalar (Fractions or floats), stored by
+    its nonzero entries.
 
-    __slots__ = ("rows",)
+    Row i is a dict {column: value}, in ascending column order, of the
+    entries that are not == 0.  +, -, negation and scalar * cost
+    O(nonzeros), and a product of band matrices stays a band at O(n)
+    cost.  Each product entry sums x * y over k in ascending order and
+    skips only exact zeros, so it equals the dense row-times-column
+    sum, bit for bit in floats.  rows gives the dense form.
+    """
+
+    __slots__ = ("_size", "_rows")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(row) for row in rows)
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        self._size = len(rows)
+        self._rows = tuple(
+            {j: x for j, x in enumerate(row) if x != 0} for row in rows
+        )
+
+    @classmethod
+    def _make(cls, size, rows):
+        """Matrix from sparse rows that are sorted and hold no zero."""
+        m = object.__new__(cls)
+        m._size = size
+        m._rows = tuple(rows)
+        return m
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def diagonal(cls, values):
-        n = len(values)
-        return cls(
-            [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = [{i: x} if x != 0 else {} for i, x in enumerate(values)]
+        return cls._make(len(rows), rows)
+
+    @property
+    def rows(self):
+        """Dense rows, a tuple of tuples with 0 off the stored entries."""
+        n = self._size
+        return tuple(
+            tuple(row.get(j, 0) for j in range(n)) for row in self._rows
         )
 
     def __add__(self, other):
-        return Matrix(
-            [
-                [x + y for x, y in zip(row, orow)]
-                for row, orow in zip(self.rows, other.rows)
-            ]
-        )
+        out = []
+        for mine, theirs in zip(self._rows, other._rows):
+            row = dict(mine)
+            for j, y in theirs.items():
+                row[j] = row[j] + y if j in row else y
+            out.append({j: row[j] for j in sorted(row) if row[j] != 0})
+        return Matrix._make(self._size, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.rows])
+        return Matrix._make(
+            self._size, [{j: -x for j, x in row.items()} for row in self._rows]
+        )
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            cols = list(zip(*other.rows))
-            return Matrix(
+        if not isinstance(other, Matrix):
+            return Matrix._make(
+                self._size,
                 [
-                    [sum(x * y for x, y in zip(row, col)) for col in cols]
-                    for row in self.rows
-                ]
+                    {j: y for j, x in row.items() if (y := x * other) != 0}
+                    for row in self._rows
+                ],
             )
-        return Matrix([[x * other for x in row] for row in self.rows])
+        theirs = other._rows
+        out = []
+        for row in self._rows:
+            acc = {}
+            for k, x in row.items():
+                for j, y in theirs[k].items():
+                    if j in acc:
+                        acc[j] = acc[j] + x * y
+                    else:
+                        acc[j] = x * y
+            out.append({j: acc[j] for j in sorted(acc) if acc[j] != 0})
+        return Matrix._make(self._size, out)
 
     def __rmul__(self, other):
         return self * other
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (
+            isinstance(other, Matrix)
+            and self._size == other._size
+            and self._rows == other._rows
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(
+            (self._size, tuple(tuple(row.items()) for row in self._rows))
+        )
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self._rows)
 
     def max_abs(self):
-        return max(abs(x) for row in self.rows for x in row)
+        return max(
+            (abs(x) for row in self._rows for x in row.values()), default=0
+        )
 
 
 @dataclass(frozen=True)
@@ -102,25 +154,48 @@ def matrix_module(sf, u, p, values):
     if p < 0:
         raise ValueError("p must be a nonnegative integer")
     n = p + 1
-    phi = tuple(sf.phi.evaluate(u + x).evaluate(values) for x in range(n + 1))
+    phi_at = _valued(sf.phi, values)
+    phi = tuple(phi_at(u + x) for x in range(n + 1))
     if phi[0] != 0 or phi[n] != 0:
         raise ValueError("Phi does not truncate at lowest weight %s" % u)
     real = sf.realization
-
-    def at(nf, i):
-        return nf.evaluate(u + i).evaluate(values)
-
-    a = Matrix.diagonal([at(real.a_of_nu, i) for i in range(n)])
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    a_at = _valued(real.a_of_nu, values)
+    b_at = _valued(real.b_of_nu, values)
+    rho_at = _valued(real.rho, values)
+    a = Matrix.diagonal([a_at(u + i) for i in range(n)])
+    rows = []
     for j in range(n):
-        rows[j][j] = at(real.b_of_nu, j)
+        row = {}
+        if j:
+            row[j - 1] = rho_at(u + j - 1) * phi[j]
+        row[j] = b_at(u + j)
         if j + 1 < n:
-            rows[j + 1][j] = at(real.rho, j) * phi[j + 1]
-            rows[j][j + 1] = Fraction(1)
-    b = Matrix(rows)
+            row[j + 1] = Fraction(1)
+        rows.append({i: x for i, x in row.items() if x != 0})
+    b = Matrix._make(n, rows)
     c = comm(a, b)
     k = sf.k.evaluate(values)
     return MatrixModule(u=u, dimension=n, a=a, b=b, c=c, k=k, phi=phi)
+
+
+def _valued(nf, values):
+    """nf with values put into its coefficients once: a function of
+    rational nu that evaluates the numerator by Fraction Horner."""
+    num = [c.evaluate(values) for c in reversed(nf.num)]
+    den = nf.den
+
+    def at(point):
+        for r, _ in den:
+            if r == point:
+                raise PoleError("nu = %s is a pole" % (point,))
+        value = Fraction(0)
+        for c in num:
+            value = value * point + c
+        for r, m in den:
+            value = value / (point - r) ** m
+        return value
+
+    return at
 
 
 def q5_module(family, p, h=1, a=1):
@@ -142,12 +217,11 @@ def q5_module(family, p, h=1, a=1):
 def _residuals(module, spec, values, a, b, c, scalar):
     """Residuals of both relations and the central value; every constant
     is converted with scalar (Fraction or float) first."""
-    consts = {
-        name: scalar(v.evaluate(values)) for name, v in spec.as_dict().items()
-    }
+    exact = {name: v.evaluate(values) for name, v in spec.as_dict().items()}
+    consts = {name: scalar(v) for name, v in exact.items()}
     coeffs = {
-        name: scalar(v.evaluate(values))
-        for name, v in spec.casimir_values().items()
+        name: scalar(v)
+        for name, v in casimir.evaluate_coefficients(exact).items()
     }
     one = Matrix.identity(module.dimension)
     linear, closure = casimir.relations(consts, a, b, c, one)
@@ -172,17 +246,22 @@ def symmetric_gauge(module):
     n = module.dimension
     d = [1.0]
     for i in range(n - 1):
-        up = module.b.rows[i + 1][i]
+        up = module.b._rows[i + 1].get(i, 0)
         if up <= 0:
             raise ValueError("symmetric gauge needs positive amplitudes")
         d.append(d[-1] * math.sqrt(float(up)))
 
     def conjugate(m):
-        return Matrix(
+        return Matrix._make(
+            n,
             [
-                [float(m.rows[i][j]) * d[j] / d[i] for j in range(n)]
-                for i in range(n)
-            ]
+                {
+                    j: y
+                    for j, x in row.items()
+                    if (y := float(x) * d[j] / d[i]) != 0
+                }
+                for i, row in enumerate(m._rows)
+            ],
         )
 
     return conjugate(module.a), conjugate(module.b), conjugate(module.c)

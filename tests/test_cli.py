@@ -432,6 +432,15 @@ def test_derive_csv_matches_golden(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_repcheck_stdout_matches_golden(capsys):
+    # every exact residual prints as "0" and every float gauge residual
+    # as %.3e of correctly rounded float arithmetic, so the stored
+    # stdout pins both gauges entry for entry
+    assert cli.main(["repcheck"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "repcheck.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_console_module_subprocess():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)

@@ -61,6 +61,17 @@ def test_q5_modules_satisfy_every_relation_exactly(q5):
                 assert all(m.is_zero() for m in residuals.values())
 
 
+def test_q5_modules_are_exact_at_large_p(q5):
+    _, spec, families = q5
+    for family in families:
+        for p in (20, 30):
+            for h, a in ((1, 1), (Fraction(17, 16), Fraction(15, 16))):
+                module, values = repcheck.q5_module(family, p, h, a)
+                assert module.dimension == p + 1
+                residuals = repcheck.relation_residuals(module, spec, values)
+                assert all(m.is_zero() for m in residuals.values())
+
+
 def test_q5_symmetric_gauge_stays_tight(q5):
     _, spec, families = q5
     for text in ("p + 4", "-3"):
