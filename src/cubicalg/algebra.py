@@ -242,12 +242,6 @@ def q5_algebra():
         + lin("H2") * energy ** 2
         + lin("H3") * energy ** 3
     )
-    if alpha != -clo("AB_sym"):
-        raise JacobiViolation("the two relations disagree on alpha")
-    if beta != -clo("B2"):
-        raise JacobiViolation("the two relations disagree on beta")
-    if gamma != -(clo("B") + clo("BH") * energy):
-        raise JacobiViolation("the two relations disagree on gamma")
     spec = jacobi_reduce(
         {
             "alpha": alpha,
@@ -262,6 +256,10 @@ def q5_algebra():
             + clo("H") * energy
             + clo("H2") * energy ** 2
             + clo("H3") * energy ** 3,
+            # the [B, C] coefficients that Jacobi ties to beta, alpha, gamma
+            "rho": clo("B2"),
+            "sigma": clo("AB_sym"),
+            "eta": clo("B") + clo("BH") * energy,
         },
         master,
     )

@@ -6,16 +6,21 @@ Generators A < B < C with C = [A, B] and the two defining relations
     [B, C] = mu A^3 + nu A^2 - beta B^2 - alpha {A, B} + xi A
              - gamma B + zeta
 
-are used as rewrite rules that push generators into nondecreasing
-order.  The central element is an ansatz C^2 plus unknown multiples of
-nine ordered basis combinations; requiring it to commute with A and B
-gives an exact overdetermined linear system for the unknowns.  The
-constant term is a free direction of the centralizer and is normalized
-to zero.
+are written once, for any associative ring: comm, acomm, relations and
+realize serve the ladder calculus, the matrix modules and the ring
+Words of normal-ordered words alike.
 
-The same two relations and the central element are also written once
-for any associative ring (comm, acomm, relations, realize), so the
-ladder calculus and the matrix modules replay one formula.
+The rewrite rules that push generators into nondecreasing order are
+read off the relations in Words, not typed out: BA -> AB - C from
+C = [A, B], then CA and CB from the two residuals of relations().  The
+Jacobi identity is verified as confluence: the jacobiator normal
+orders to zero exactly when the one overlap ambiguity, CBA, resolves
+(Bergman's diamond lemma, Adv. Math. 29 (1978) 178).
+
+The central element is an ansatz C^2 plus unknown multiples of nine
+ordered basis combinations; requiring it to commute with A and B gives
+an exact overdetermined linear system for the unknowns.  The constant
+term is a free direction of the centralizer and is normalized to zero.
 """
 
 from __future__ import annotations
@@ -42,57 +47,77 @@ CONSTANT_NAMES = (
     "zeta",
 )
 
-BASIS_NAMES = (
-    "AAB_sym",
-    "ABB_sym",
-    "AB_sym",
-    "BB",
-    "B",
-    "A4",
-    "A3",
-    "A2",
-    "A",
-)
+
+class Words:
+    """Noncommutative polynomial {word: scalar} over generators A < B < C.
+
+    Words are tuples of generator names.  Every product is normal
+    ordered under the rewrite rules, so that comm, acomm, relations and
+    realize apply to Words as they do to any other ring.  The rules
+    dict is shared, not copied: _rewrites grows it while deriving it.
+    """
+
+    def __init__(self, terms, rules):
+        self.terms = {w: c for w, c in terms.items() if not upoly.is_zero(c)}
+        self.rules = rules
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out[w] + c if w in out else c
+        return Words(out, self.rules)
+
+    def __neg__(self):
+        return Words({w: -c for w, c in self.terms.items()}, self.rules)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, Words):
+            return NotImplemented
+        raw = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                word = w1 + w2
+                coeff = c1 * c2
+                raw[word] = raw[word] + coeff if word in raw else coeff
+        return Words(normalize(raw, self.rules), self.rules)
+
+    def __rmul__(self, scalar):
+        terms = {w: scalar * c for w, c in self.terms.items()}
+        return Words(terms, self.rules)
+
+
+def _generators(rules, one):
+    return [Words({(name,): one}, rules) for name in "ABC"]
 
 
 def _rewrites(consts):
-    """Single-swap rules: word pair -> replacement [(word, scalar)]."""
-    alpha = consts["alpha"]
-    beta = consts["beta"]
-    gamma = consts["gamma"]
-    delta = consts["delta"]
-    epsilon = consts["epsilon"]
-    mu = consts["mu"]
-    nu = consts["nu"]
-    xi = consts["xi"]
-    zeta = consts["zeta"]
-    return {
-        ("B", "A"): [(("A", "B"), 1), (("C",), -1)],
-        ("C", "A"): [
-            (("A", "C"), 1),
-            (("A", "A"), -alpha),
-            (("A", "B"), -2 * beta),
-            (("C",), beta),
-            (("A",), -gamma),
-            (("B",), -delta),
-            ((), -epsilon),
-        ],
-        ("C", "B"): [
-            (("B", "C"), 1),
-            (("A", "A", "A"), -mu),
-            (("A", "A"), -nu),
-            (("B", "B"), beta),
-            (("A", "B"), 2 * alpha),
-            (("C",), -alpha),
-            (("A",), -xi),
-            (("B",), gamma),
-            ((), -zeta),
-        ],
-    }
+    """Single-swap rules, read off the defining relations.
+
+    A descending pair YX is rewritten as YX + r, where r = 0 is a
+    defining relation: [A, B] - C for BA, then the residuals that
+    relations() gives for CA and CB, computed in the free algebra under
+    the BA rule.  Returns {pair: [(word, scalar)]}.
+    """
+    rules = {}
+    a, b, c = _generators(rules, 1)
+    rules[("B", "A")] = list((b * a + (comm(a, b) - c)).terms.items())
+    linear, closure = relations(consts, a, b, c, Words({(): 1}, rules))
+    rules[("C", "A")] = list((c * a + linear).terms.items())
+    rules[("C", "B")] = list((c * b + closure).terms.items())
+    return rules
 
 
 def normalize(poly, rules):
-    """Normal order a {word: scalar} map under the rewrite rules."""
+    """Normal order a {word: scalar} map under the rewrite rules.
+
+    A descending pair without a rule is left in place.
+    """
     out = {}
     stack = list(poly.items())
     while stack:
@@ -101,7 +126,7 @@ def normalize(poly, rules):
             continue
         pos = None
         for k in range(len(word) - 1):
-            if word[k] > word[k + 1]:
+            if word[k] > word[k + 1] and word[k : k + 2] in rules:
                 pos = k
                 break
         if pos is None:
@@ -110,69 +135,41 @@ def normalize(poly, rules):
             else:
                 out[word] = coeff
             continue
-        pair = (word[pos], word[pos + 1])
-        for replacement, factor in rules[pair]:
+        for replacement, factor in rules[word[pos : pos + 2]]:
             stack.append(
                 (word[:pos] + replacement + word[pos + 2 :], coeff * factor)
             )
     return {w: c for w, c in out.items() if not upoly.is_zero(c)}
 
 
-def nc_mul(p, q, rules):
-    raw = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            word = w1 + w2
-            coeff = c1 * c2
-            if word in raw:
-                raw[word] = raw[word] + coeff
-            else:
-                raw[word] = coeff
-    return normalize(raw, rules)
-
-
-def nc_add(p, q):
-    out = dict(p)
-    for w, c in q.items():
-        out[w] = out[w] + c if w in out else c
-    return {w: c for w, c in out.items() if not upoly.is_zero(c)}
-
-
-def nc_scale(p, factor):
-    return {w: c * factor for w, c in p.items()}
-
-
-def nc_comm(p, q, rules):
-    return nc_add(nc_mul(p, q, rules), nc_scale(nc_mul(q, p, rules), -1))
-
-
-def _basis_words():
-    return {
-        "AAB_sym": {("A", "A", "B"): 1, ("B", "A", "A"): 1},
-        "ABB_sym": {("A", "B", "B"): 1, ("B", "B", "A"): 1},
-        "AB_sym": {("A", "B"): 1, ("B", "A"): 1},
-        "BB": {("B", "B"): 1},
-        "B": {("B",): 1},
-        "A4": {("A", "A", "A", "A"): 1},
-        "A3": {("A", "A", "A"): 1},
-        "A2": {("A", "A"): 1},
-        "A": {("A",): 1},
-    }
-
-
 def verify_jacobi(consts, rules=None):
-    """Normal order J(A,B,C); nonzero means inconsistent constants."""
+    """Normal order the jacobiator of A, B, C; nonzero means the rules are
+    not confluent (the overlap CBA resolves two ways), so the constants
+    are inconsistent.
+    """
     rules = _rewrites(consts) if rules is None else rules
-    gens = {name: {(name,): 1} for name in "ABC"}
-    total = {}
-    for x, y, z in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")):
-        inner = nc_comm(gens[y], gens[z], rules)
-        total = nc_add(total, nc_comm(gens[x], inner, rules))
-    if total:
+    a, b, c = _generators(rules, 1)
+    total = comm(a, comm(b, c)) + comm(b, comm(c, a)) + comm(c, comm(a, b))
+    if not total.is_zero():
         raise JacobiViolation(
-            "jacobiator is nonzero on %d monomials" % len(total)
+            "jacobiator is nonzero on %d monomials" % len(total.terms)
         )
 
+
+# The nine ordered basis elements of the central element, built from A,
+# B, A^2 and B^2 in any ring; realize builds only those it needs.
+_BASIS = {
+    "AAB_sym": lambda a, b, aa, bb: acomm(aa, b),
+    "ABB_sym": lambda a, b, aa, bb: acomm(a, bb),
+    "AB_sym": lambda a, b, aa, bb: acomm(a, b),
+    "BB": lambda a, b, aa, bb: bb,
+    "B": lambda a, b, aa, bb: b,
+    "A4": lambda a, b, aa, bb: aa * aa,
+    "A3": lambda a, b, aa, bb: aa * a,
+    "A2": lambda a, b, aa, bb: aa,
+    "A": lambda a, b, aa, bb: a,
+}
+BASIS_NAMES = tuple(_BASIS)
 
 _COEFFS = None
 
@@ -190,28 +187,22 @@ def casimir_coefficients():
     consts = {name: MultiPoly.sym(table, name) for name in CONSTANT_NAMES}
     rules = _rewrites(consts)
     verify_jacobi(consts, rules)
-    one = MultiPoly.const(table, 1)
-    gens = {name: {(name,): one} for name in "ABC"}
-    lifted_basis = {}
-    for name, words in _basis_words().items():
-        lifted_basis[name] = normalize(
-            {w: MultiPoly.const(table, c) for w, c in words.items()}, rules
-        )
-    c_squared = nc_mul(gens["C"], gens["C"], rules)
+    a, b, c = _generators(rules, MultiPoly.const(table, 1))
+    aa, bb = a * a, b * b
     rows_by_key = {}
 
     def record(gen, column, commuted):
-        for word, coeff in commuted.items():
+        for word, coeff in commuted.terms.items():
             row = rows_by_key.setdefault(
                 (gen, word),
                 [MultiPoly.zero(table) for _ in range(len(BASIS_NAMES) + 1)],
             )
             row[column] = row[column] + coeff
 
-    for gen in ("A", "B"):
-        record(gen, len(BASIS_NAMES), nc_comm(c_squared, gens[gen], rules))
-        for j, name in enumerate(BASIS_NAMES):
-            record(gen, j, nc_comm(lifted_basis[name], gens[gen], rules))
+    for name, gen in (("A", a), ("B", b)):
+        record(name, len(BASIS_NAMES), comm(c * c, gen))
+        for j, build in enumerate(_BASIS.values()):
+            record(name, j, comm(build(a, b, aa, bb), gen))
     matrix = []
     rhs = []
     for key in sorted(rows_by_key):
@@ -233,14 +224,11 @@ def casimir_coefficients():
                 "coefficient %s is not polynomial in the constants" % name
             )
         coeffs[name] = num * (1 / den.as_fraction())
-    candidate = dict(c_squared)
-    for name in BASIS_NAMES:
-        candidate = nc_add(candidate, nc_scale(lifted_basis[name], coeffs[name]))
-    for gen in ("A", "B"):
-        residual = nc_comm(candidate, gens[gen], rules)
-        if residual:
+    candidate = realize(coeffs, a, b, c)
+    for name, gen in (("A", a), ("B", b)):
+        if not comm(candidate, gen).is_zero():
             raise CubicalgError(
-                "central element verification failed against %s" % gen
+                "central element verification failed against %s" % name
             )
     _COEFFS = coeffs
     return coeffs
@@ -302,20 +290,9 @@ def realize(coeffs, a_op, b_op, c_op):
     aa = a_op * a_op
     bb = b_op * b_op
     total = c_op * c_op
-    terms = {
-        "AAB_sym": lambda: aa * b_op + b_op * aa,
-        "ABB_sym": lambda: a_op * bb + bb * a_op,
-        "AB_sym": lambda: a_op * b_op + b_op * a_op,
-        "BB": lambda: bb,
-        "B": lambda: b_op,
-        "A4": lambda: aa * aa,
-        "A3": lambda: aa * a_op,
-        "A2": lambda: aa,
-        "A": lambda: a_op,
-    }
-    for name in BASIS_NAMES:
+    for name, build in _BASIS.items():
         coeff = coeffs[name]
         if upoly.is_zero(coeff):
             continue
-        total = total + coeff * terms[name]()
+        total = total + coeff * build(a_op, b_op, aa, bb)
     return total

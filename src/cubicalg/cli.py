@@ -23,14 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import algebra, ladder, repcheck, schrodinger, spectrum, weylop
+from . import algebra, casimir, ladder, repcheck, schrodinger, spectrum, weylop
 from .errors import CubicalgError, UnresolvedFactor
 from .exactnum import ParseError, PolyFraction, SymbolTable, parse
 
 INLINE_SYMBOLS = ("E", "h", "a", "u", "p", "x", "k", "zeta")
-CONSTANT_KEYS = (
-    "alpha", "beta", "gamma", "delta", "epsilon", "mu", "nu", "xi", "zeta",
-)
 
 # External reference values the derivation is diffed against; a
 # mismatch is reported alongside the derived value, never adopted.
@@ -130,12 +127,14 @@ def build_config(args):
                         % ", ".join(sorted(keys))
                     )
             elif keys:
-                extra = set(keys) - set(CONSTANT_KEYS)
+                extra = set(keys) - set(casimir.CONSTANT_NAMES)
                 if extra:
                     raise ConfigError(
                         "unknown constants: %s" % ", ".join(sorted(extra))
                     )
-                inline = {name: keys.get(name, "0") for name in CONSTANT_KEYS}
+                inline = {
+                    name: keys.get(name, "0") for name in casimir.CONSTANT_NAMES
+                }
         p_max = _config_number(cp, "spectrum", "p_max", int, p_max)
         a = _config_number(cp, "numeric", "a", Fraction, a)
         grid = _config_number(cp, "numeric", "grid", int, grid)
@@ -178,7 +177,7 @@ def _inline_algebra(cfg):
     """
     table = SymbolTable(INLINE_SYMBOLS, atoms=("h", "a"))
     values = {}
-    for name in CONSTANT_KEYS:
+    for name in casimir.CONSTANT_NAMES:
         text = cfg.inline[name]
         try:
             values[name] = parse(text, table)
@@ -379,6 +378,8 @@ def run_repcheck(cfg):
                         module, derived.spec, values
                     )
                 except OverflowError:
+                    worst = math.inf
+                if not math.isfinite(worst):
                     raise ConfigError("a too small: the float gauge overflows")
                 ok = ok and worst <= 1e-10
                 rows.append({

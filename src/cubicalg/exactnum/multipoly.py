@@ -235,33 +235,6 @@ class MultiPoly:
             raw[lowered] = raw.get(lowered, Fraction(0)) + coeff * e
         return MultiPoly(self.table, {e: c for e, c in raw.items() if c != 0})
 
-    def substitute(self, mapping):
-        """Replace symbols by same-table polynomials or rationals."""
-        values = {}
-        for name, val in mapping.items():
-            idx = self.table.index(name)
-            if isinstance(val, (int, Fraction)):
-                val = MultiPoly.const(self.table, val)
-            check_same(self.table, val.table)
-            values[idx] = val
-        out = MultiPoly.zero(self.table)
-        powers = {idx: {0: MultiPoly.const(self.table, 1)} for idx in values}
-        for exps, coeff in self.terms.items():
-            kept = list(exps)
-            factor = MultiPoly.const(self.table, coeff)
-            for idx, val in values.items():
-                e = exps[idx]
-                kept[idx] = 0
-                cache = powers[idx]
-                if e not in cache:
-                    p = cache[max(cache)]
-                    for _ in range(max(cache), e):
-                        p = p * val
-                        cache[len(cache)] = p
-                factor = factor * cache[e]
-            out = out + factor * MultiPoly.monomial(self.table, kept)
-        return out
-
     def evaluate(self, mapping):
         """Map every symbol to a value in any commutative ring.
 

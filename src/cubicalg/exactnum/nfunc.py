@@ -99,11 +99,6 @@ class NFunc:
         """Numerator degree; meaningful as the degree when polynomial."""
         return len(self.num) - 1
 
-    def coefficient(self, k):
-        if k < len(self.num):
-            return self.num[k]
-        return PolyFraction.const(self.table, 0)
-
     def coefficients(self):
         if self.den:
             raise ValueError("value is not polynomial: %s" % self.format())

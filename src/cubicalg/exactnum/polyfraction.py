@@ -89,11 +89,6 @@ class PolyFraction:
     def is_polynomial(self):
         return not any(self.den)
 
-    def as_poly(self):
-        if any(self.den):
-            raise ValueError("value has a denominator: %s" % self.format())
-        return self.num
-
     @classmethod
     def coerce(cls, table, value):
         """value as a PolyFraction over table, or None for another type."""

@@ -324,9 +324,6 @@ class StructureFunction:
     realization: Realization
     phi: NFunc
 
-    def phi_coefficients(self):
-        return tuple(self.phi.coefficients())
-
 
 def generators(spec, realization=None):
     """Ladder expressions for A, B and C = [A, B]."""

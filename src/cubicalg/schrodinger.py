@@ -13,6 +13,7 @@ floating point; the exact modules never depend on it.
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "sturm_count",
     "lowest_eigenvalues",
     "dirichlet_levels",
-    "richardson",
     "refined_levels",
     "x_levels_middle",
     "x_levels_outer",
@@ -161,12 +161,19 @@ def _gershgorin(t: TridiagMatrix):
     return lo, hi
 
 
+def _eigenvalues(t: TridiagMatrix, tol: float):
+    """Eigenvalues of t, lowest first, each bisected to width tol from
+    the Gershgorin interval."""
+    lo, hi = _gershgorin(t)
+    for k in range(t.size):
+        yield _eigenvalue_k(t, k, lo, hi, tol)
+
+
 def lowest_eigenvalues(t: TridiagMatrix, m: int, tol: float = 1e-10):
     """The m lowest eigenvalues, each bracketed to width tol by bisection."""
     if not 0 < m <= t.size:
         raise ValueError("eigenvalue count out of range")
-    lo, hi = _gershgorin(t)
-    return [_eigenvalue_k(t, k, lo, hi, tol) for k in range(m)]
+    return list(islice(_eigenvalues(t, tol), m))
 
 
 def dirichlet_levels(v, lo, hi, n, count, tol=1e-10):
@@ -174,29 +181,26 @@ def dirichlet_levels(v, lo, hi, n, count, tol=1e-10):
     return lowest_eigenvalues(discretize(v, Grid1D(lo, hi, n)), count, tol)
 
 
-def richardson(coarse, fine):
-    """Second-order step extrapolation of paired eigenvalue lists."""
-    return [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
+def _refined(v, lo, hi, n, tol):
+    """Dirichlet levels at steps h and h/2, Richardson-extrapolated
+    (second order), lowest first."""
+    coarse = _eigenvalues(discretize(v, Grid1D(lo, hi, n)), tol)
+    fine = _eigenvalues(discretize(v, Grid1D(lo, hi, 2 * n + 1)), tol)
+    for c, f in zip(coarse, fine):
+        yield (4.0 * f - c) / 3.0
 
 
 def refined_levels(v, lo, hi, n, count, tol=1e-10):
-    """Dirichlet eigenvalues at steps h and h/2, extrapolated."""
-    coarse = dirichlet_levels(v, lo, hi, n, count, tol)
-    fine = dirichlet_levels(v, lo, hi, 2 * n + 1, count, tol)
-    return richardson(coarse, fine)
+    """The count lowest Richardson-refined Dirichlet eigenvalues."""
+    if not 0 < count <= n:
+        raise ValueError("eigenvalue count out of range")
+    return list(islice(_refined(v, lo, hi, n, tol), count))
 
 
 def _levels_below(v, lo, hi, n, bound, tol=1e-10):
     """Richardson-refined levels strictly below bound, lowest first."""
-    coarse = discretize(v, Grid1D(lo, hi, n))
-    fine = discretize(v, Grid1D(lo, hi, 2 * n + 1))
-    clo, chi = _gershgorin(coarse)
-    flo, fhi = _gershgorin(fine)
     out = []
-    for k in range(coarse.size):
-        c = _eigenvalue_k(coarse, k, clo, chi, tol)
-        f = _eigenvalue_k(fine, k, flo, fhi, tol)
-        val = (4.0 * f - c) / 3.0
+    for val in _refined(v, lo, hi, n, tol):
         if val >= bound:
             break
         out.append(val)

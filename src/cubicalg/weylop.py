@@ -51,10 +51,6 @@ class DiffOp:
         check_same(table, value.table)
         return cls(table, {(0, 0): value})
 
-    @classmethod
-    def partial(cls, table, nx, ny):
-        return cls(table, {(nx, ny): PolyFraction.const(table, 1)})
-
     def is_zero(self):
         return not self.parts
 

@@ -1,22 +1,21 @@
-"""Normal ordering and the derived central element."""
+"""Normal ordering, the rewrite rules read off the relations, and the
+derived central element."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from cubicalg import casimir
 from cubicalg.casimir import (
     BASIS_NAMES,
     CONSTANT_NAMES,
+    Words,
     _rewrites,
     casimir_coefficients,
+    comm,
     evaluate_coefficients,
-    nc_add,
-    nc_comm,
-    nc_mul,
-    nc_scale,
     normalize,
+    realize,
     verify_jacobi,
 )
 from cubicalg.errors import JacobiViolation
@@ -26,6 +25,86 @@ from cubicalg.exactnum import MultiPoly, SymbolTable
 def symbolic_constants():
     table = SymbolTable(CONSTANT_NAMES)
     return {name: MultiPoly.sym(table, name) for name in CONSTANT_NAMES}
+
+
+def hand_rules(consts):
+    """The swap rules typed out from the two defining relations: the
+    oracle for the rules that _rewrites reads off casimir.relations."""
+    alpha = consts["alpha"]
+    beta = consts["beta"]
+    gamma = consts["gamma"]
+    delta = consts["delta"]
+    epsilon = consts["epsilon"]
+    mu = consts["mu"]
+    nu = consts["nu"]
+    xi = consts["xi"]
+    zeta = consts["zeta"]
+    return {
+        ("B", "A"): [(("A", "B"), 1), (("C",), -1)],
+        ("C", "A"): [
+            (("A", "C"), 1),
+            (("A", "A"), -alpha),
+            (("A", "B"), -2 * beta),
+            (("C",), beta),
+            (("A",), -gamma),
+            (("B",), -delta),
+            ((), -epsilon),
+        ],
+        ("C", "B"): [
+            (("B", "C"), 1),
+            (("A", "A", "A"), -mu),
+            (("A", "A"), -nu),
+            (("B", "B"), beta),
+            (("A", "B"), 2 * alpha),
+            (("C",), -alpha),
+            (("A",), -xi),
+            (("B",), gamma),
+            ((), -zeta),
+        ],
+    }
+
+
+def as_terms(rules):
+    """{(pair, word): scalar}, so two rule sets compare term by term."""
+    return {
+        (pair, word): coeff
+        for pair, replacement in rules.items()
+        for word, coeff in replacement
+    }
+
+
+def generators(rules, one):
+    return [Words({(name,): one}, rules) for name in "ABC"]
+
+
+def test_rules_match_the_hand_written_table():
+    consts = symbolic_constants()
+    got = _rewrites(consts)
+    expected = hand_rules(consts)
+    assert set(got) == set(expected)
+    for pair in expected:
+        assert dict(got[pair]) == dict(expected[pair]), pair
+        assert len(got[pair]) == len(expected[pair]), pair
+
+
+def test_each_constant_moves_exactly_its_own_terms():
+    # bumping one constant in the relations moves exactly the rule terms
+    # that constant multiplies, by the hand table's amount
+    consts = symbolic_constants()
+    base = as_terms(_rewrites(consts))
+    oracle = as_terms(hand_rules(consts))
+    for name in CONSTANT_NAMES:
+        bumped = dict(consts, **{name: consts[name] + 1})
+        moved = as_terms(_rewrites(bumped))
+        oracle_moved = as_terms(hand_rules(bumped))
+        assert set(moved) == set(base), name
+        changed = {key for key in base if moved[key] != base[key]}
+        assert changed == {
+            key for key in oracle if oracle_moved[key] != oracle[key]
+        }, name
+        assert changed, name
+        for key in changed:
+            assert moved[key] - base[key] == oracle_moved[key] - oracle[key]
 
 
 def test_single_swap_normalizes():
@@ -52,14 +131,12 @@ def test_normalization_is_confluent_on_products():
     # associativity survives the rewrite system: (CB)A == C(BA)
     consts = symbolic_constants()
     rules = _rewrites(consts)
-    table = consts["alpha"].table
-    one = MultiPoly.const(table, 1)
-    c = {("C",): one}
-    b = {("B",): one}
-    a = {("A",): one}
-    left = nc_mul(nc_mul(c, b, rules), a, rules)
-    right = nc_mul(c, nc_mul(b, a, rules), rules)
-    assert left == right
+    one = MultiPoly.const(consts["alpha"].table, 1)
+    a, b, c = generators(rules, one)
+    left = (c * b) * a
+    right = c * (b * a)
+    assert not left.is_zero()
+    assert left.terms == right.terms
 
 
 def test_jacobi_holds_for_the_standard_rules():
@@ -126,17 +203,10 @@ def test_central_element_commutes_at_random_constants():
             for name in CONSTANT_NAMES
         }
         coeffs = evaluate_coefficients(values)
-        rules = _rewrites(values)
-        gens = {name: {(name,): Fraction(1)} for name in "ABC"}
-        candidate = nc_mul(gens["C"], gens["C"], rules)
-        words = casimir._basis_words()
-        for name in BASIS_NAMES:
-            lifted = normalize(
-                {w: Fraction(c) for w, c in words[name].items()}, rules
-            )
-            candidate = nc_add(candidate, nc_scale(lifted, coeffs[name]))
-        for gen in ("A", "B"):
-            assert nc_comm(candidate, gens[gen], rules) == {}
+        a, b, c = generators(_rewrites(values), Fraction(1))
+        candidate = realize(coeffs, a, b, c)
+        for gen in (a, b):
+            assert comm(candidate, gen).is_zero()
 
 
 def test_coefficients_transform_under_ladder_rescaling():

@@ -64,10 +64,9 @@ class TestMultiPoly:
         assert p == x ** 2 + 1
         assert p.exact_div(x + i) == x - i
 
-    def test_substitute_and_evaluate(self):
+    def test_evaluate(self):
         x, y = sym("x"), sym("y")
         p = x ** 2 * y + 3 * x
-        assert p.substitute({"x": y}) == y ** 3 + 3 * y
         got = p.evaluate({"x": Fraction(2), "y": Fraction(1, 2), "h": 0, "a": 0, "i": 0})
         assert got == Fraction(8)
 
@@ -101,7 +100,7 @@ class TestPolyFraction:
         x, a = sym("x"), sym("a")
         value = PolyFraction((x ** 2 - a ** 2) * x, (0, 1, 0))
         assert value.den == (0, 0, 0)
-        assert value.as_poly() == (x + a) * x
+        assert value.num == (x + a) * x
 
     def test_add_and_mul_with_denominators(self):
         one_over = PolyFraction(MultiPoly.const(TABLE, 1), (0, 2, 0))
