@@ -15,12 +15,17 @@ _, families, _ = spectrum.energy_families(sf.phi)
 
 P_MAX = 10
 
-print("unitarity by family (p = 1..%d):" % P_MAX)
+print("unitarity by family (p = 1..%d), then for every p >= 1:" % P_MAX)
 for fam in families:
     marks = ""
     for verdict in spectrum.unitarity_table(fam, range(1, P_MAX + 1)):
         marks += "+" if verdict.unitary else "-"
-    print("  E(p) = %-28s %s" % (fam.energy.format(), marks))
+    # every root is c0 + c1*p, so the sign pattern settles once p passes
+    # twice the largest |c0|: the decision covers all p, not a sample
+    decision = spectrum.unitarity_decision(fam)
+    print("  E(p) = %-28s %s  eventually %s, except p in %s" % (
+        fam.energy.format(), marks, "+" if decision.eventual else "-",
+        list(decision.exceptions)))
 
 # two families survive at every p; the rising one looks like an
 # oscillator ladder E = (p + 3) / 2 at h = a = 1.  One more family

@@ -22,6 +22,7 @@ from .spectrum import (
     energy_families,
     family_instance,
     q5_structure_function,
+    unitarity_decision,
     unitarity_table,
     unitarity_verdict,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "energy_families",
     "family_instance",
     "q5_structure_function",
+    "unitarity_decision",
     "unitarity_table",
     "unitarity_verdict",
     "__version__",

@@ -289,15 +289,11 @@ def _catalog(cfg, sf):
     branches, families, pinned = spectrum.energy_families(sf.phi)
     rows = []
     for fam in families:
-        verdicts = {}
-        flips = []
-        for p in range(1, cfg.p_max + 1):
-            verdicts[str(p)] = spectrum.unitarity_verdict(fam, p).unitary
-        votes = sum(1 for v in verdicts.values() if v)
-        majority = votes * 2 > len(verdicts)
-        for p_text, v in verdicts.items():
-            if v != majority:
-                flips.append(int(p_text))
+        verdicts = {
+            str(p): spectrum.unitarity_verdict(fam, p).unitary
+            for p in range(1, cfg.p_max + 1)
+        }
+        decision = spectrum.unitarity_decision(fam)
         roots = [r.format() for r in fam.roots]
         row = {
             "u_branch": branches[fam.start].root.format(),
@@ -305,9 +301,15 @@ def _catalog(cfg, sf):
             "phi": {"lead": fam.lead.format(), "roots": roots},
             "lowest_weight": fam.lowest.format(),
             "verdicts": verdicts,
-            "unitary_for_all_p": majority and not flips,
-            "exceptions": flips,
         }
+        if decision.undecided is None:
+            row["unitary_for_all_p"] = (decision.eventual
+                                        and not decision.exceptions)
+            row["exceptions"] = list(decision.exceptions)
+        else:
+            row["unitary_for_all_p"] = None
+            row["exceptions"] = None
+            row["undecided"] = decision.undecided
         rows.append(row)
     pins = [
         {

@@ -124,9 +124,16 @@ class Matrix:
         return not any(self._rows)
 
     def max_abs(self):
-        return max(
-            (abs(x) for row in self._rows for x in row.values()), default=0
-        )
+        return _max_or_nan(abs(x) for row in self._rows for x in row.values())
+
+
+def _max_or_nan(values):
+    """max(values, default=0), but NaN if any value is NaN: max itself
+    keeps a NaN only when it comes first."""
+    values = list(values)
+    if any(v != v for v in values):
+        return math.nan
+    return max(values, default=0)
 
 
 @dataclass(frozen=True)
@@ -271,6 +278,6 @@ def symmetric_gauge_residual(module, spec, values):
     """Largest float residual of the relations in the symmetric gauge."""
     a, b, c = symmetric_gauge(module)
     residuals = _residuals(module, spec, values, a, b, c, float)
-    return max(
+    return _max_or_nan(
         m.max_abs() for m in (comm(a, b) - c, *residuals.values())
     )

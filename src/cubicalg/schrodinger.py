@@ -26,8 +26,6 @@ __all__ = [
     "potential",
     "discretize",
     "sturm_count",
-    "lowest_eigenvalues",
-    "dirichlet_levels",
     "refined_levels",
     "x_levels_middle",
     "x_levels_outer",
@@ -167,18 +165,6 @@ def _eigenvalues(t: TridiagMatrix, tol: float):
     lo, hi = _gershgorin(t)
     for k in range(t.size):
         yield _eigenvalue_k(t, k, lo, hi, tol)
-
-
-def lowest_eigenvalues(t: TridiagMatrix, m: int, tol: float = 1e-10):
-    """The m lowest eigenvalues, each bracketed to width tol by bisection."""
-    if not 0 < m <= t.size:
-        raise ValueError("eigenvalue count out of range")
-    return list(islice(_eigenvalues(t, tol), m))
-
-
-def dirichlet_levels(v, lo, hi, n, count, tol=1e-10):
-    """Eigenvalues of -psi''/2 + v psi with walls at lo and hi."""
-    return lowest_eigenvalues(discretize(v, Grid1D(lo, hi, n)), count, tol)
 
 
 def _refined(v, lo, hi, n, tol):

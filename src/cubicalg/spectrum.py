@@ -9,8 +9,10 @@ exact, and a factorization that cannot be completed is reported as
 such rather than approximated.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from . import algebra, ladder
@@ -50,6 +52,61 @@ class Family:
     lead: PolyFraction
     roots: tuple
     residual: object
+
+    @cached_property
+    def sign_form(self):
+        """Phi over the levels as a SignForm, computed once."""
+        if self.residual is not None:
+            return SignForm(None, None, "Phi keeps an unsplit factor of "
+                            "degree %d" % self.residual.degree())
+        lead_sign = self.lead.sign_for_positive_symbols()
+        if not lead_sign:
+            return SignForm(None, None, "sign of the lead %s is not fixed by "
+                            "positivity" % self.lead.format())
+        roots = []
+        for root in self.roots:
+            try:
+                parts = [c.as_fraction()
+                         for c in root.univariate_in(LEVEL_SYMBOL)]
+            except ValueError:
+                return SignForm(None, None, "root %s depends on symbols other "
+                                "than %s" % (root.format(), LEVEL_SYMBOL))
+            c0, c1 = (parts + [Fraction(0)] * 2)[:2]
+            if len(parts) > 2 or c1 not in (0, 1):
+                return SignForm(None, None, "root %s is not c0 + c1*%s with "
+                                "c1 in {0, 1}" % (root.format(), LEVEL_SYMBOL))
+            roots.append((c0.numerator, c0.denominator, int(c1)))
+        return SignForm(lead_sign, tuple(roots))
+
+
+@dataclass(frozen=True)
+class SignForm:
+    """Phi over the levels read as sign(lead) * prod (x - c0 - c1*p).
+
+    Each root c0 + c1*p is kept as integers (num, den, c1) with c0 =
+    num/den, den > 0 and c1 in {0, 1}, so the sign of a level is an
+    integer test.  When the family has no such form, undecided holds
+    the reason and lead_sign and roots are None.
+    """
+
+    lead_sign: object
+    roots: object
+    undecided: object = None
+
+
+@dataclass(frozen=True)
+class Decision:
+    """Unitarity for every p >= 1 at once.
+
+    eventual is the verdict shared by all large p and exceptions the
+    finite, sorted tuple of p >= 1 whose verdict differs from it; both
+    are None, with the reason in undecided, when the family has no
+    sign form.
+    """
+
+    eventual: object
+    exceptions: object
+    undecided: object = None
 
 
 @dataclass(frozen=True)
@@ -353,7 +410,7 @@ def _factor_levels(phi_x, known):
     return lead, tuple(roots), residual
 
 
-def energy_families(phi, param=ENERGY_SYMBOL, level=LEVEL_SYMBOL):
+def energy_families(phi, param=ENERGY_SYMBOL):
     """Every module family obtained by pairing zeros of Phi.
 
     Returns (branches, families, pinned).  A branch pair whose spacing
@@ -363,10 +420,10 @@ def energy_families(phi, param=ENERGY_SYMBOL, level=LEVEL_SYMBOL):
     affine in the energy are not searched.
     """
     table = phi.table
-    if level not in table.symbols:
-        raise ValueError("level symbol %r is not in the table" % level)
+    if LEVEL_SYMBOL not in table.symbols:
+        raise ValueError("level symbol %r is not in the table" % LEVEL_SYMBOL)
     branches = branch_roots(phi, param)
-    level_sym = PolyFraction.sym(table, level)
+    level_sym = PolyFraction.sym(table, LEVEL_SYMBOL)
     families = []
     pinned = []
     for i, bi in enumerate(branches):
@@ -430,9 +487,36 @@ def family_instance(family, p_value, level=LEVEL_SYMBOL):
     )
 
 
-def unitarity_verdict(family, p_value, level=LEVEL_SYMBOL):
-    """Whether Phi stays positive at the interior levels 1 .. p."""
-    instance = family_instance(family, p_value, level)
+def _sign_verdict(form, p):
+    """The Verdict at p from a SignForm: integer sign tests only."""
+    for x in range(1, p + 1):
+        sign = form.lead_sign
+        for num, den, c1 in form.roots:
+            d = (x - c1 * p) * den - num
+            if d < 0:
+                sign = -sign
+            elif d == 0:
+                sign = 0
+                break
+        if sign <= 0:
+            return Verdict(p, False, x)
+    return Verdict(p, True, None)
+
+
+def unitarity_verdict(family, p_value):
+    """Whether Phi stays positive at the interior levels 1 .. p.
+
+    A family with a sign form (see unitarity_decision) is decided by
+    integer sign tests; any other is evaluated level by level through
+    family_instance.
+    """
+    p_value = int(p_value)
+    if p_value < 0:
+        raise ValueError("p must be a nonnegative integer")
+    form = family.sign_form
+    if form.undecided is None:
+        return _sign_verdict(form, p_value)
+    instance = family_instance(family, p_value)
     for x in range(1, instance.p + 1):
         sign = instance.values[x].sign_for_positive_symbols()
         if sign is None:
@@ -444,8 +528,43 @@ def unitarity_verdict(family, p_value, level=LEVEL_SYMBOL):
     return Verdict(instance.p, True, None)
 
 
-def unitarity_table(family, p_values, level=LEVEL_SYMBOL):
-    return tuple(unitarity_verdict(family, p, level) for p in p_values)
+def unitarity_table(family, p_values):
+    return tuple(unitarity_verdict(family, p) for p in p_values)
+
+
+def unitarity_decision(family):
+    """The verdict for every p >= 1, decided from Phi's factored form.
+
+    Over the levels Phi is lead * prod (x - c0_i - c1_i*p) with c1_i in
+    {0, 1}, so the sign at level x is sign(lead) times one sign per
+    root.  Let M = max ceil(|c0_i|) and p >= 2M + 2.  At a low level
+    x <= M every shifted root gives x - p - c0 <= 2M - p < 0, so the
+    sign there depends on x alone.  At a high level x = p - y with
+    0 <= y <= M every constant root gives x - c0 >= p - 2M > 0, so the
+    sign depends on y alone.  At every level between (there is at
+    least one), constant roots give x - c0 >= 1 and shifted roots
+    x - p - c0 <= -1, so the sign is sign(lead) * (-1)^(number of
+    shifted roots).  The set of signs over x = 1..p, hence the
+    verdict, is therefore the same for every p >= 2M + 2.  The
+    verdicts at p = 1..2M+3 are computed, the one at 2M + 3 is the
+    eventual verdict, and the exceptions are the p before it that
+    differ.  A family without that form (an unsplit residual factor, a
+    root not of the form c0 + c1*p with rational c0 and c1 in {0, 1},
+    or a lead whose sign positivity does not fix) is undecided.
+    """
+    form = family.sign_form
+    if form.undecided is not None:
+        return Decision(None, None, form.undecided)
+    bound = max(
+        (math.ceil(Fraction(abs(num), den)) for num, den, _ in form.roots),
+        default=0,
+    )
+    last = 2 * bound + 3
+    eventual = _sign_verdict(form, last).unitary
+    exceptions = tuple(
+        p for p in range(1, last) if _sign_verdict(form, p).unitary != eventual
+    )
+    return Decision(eventual, exceptions)
 
 
 def complete_truncation(phi, u, p, unknowns=("k", "zeta")):

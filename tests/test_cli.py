@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cubicalg import cli
+from cubicalg import algebra, cli, repcheck, spectrum
+from cubicalg.exactnum import NFunc, PolyFraction, parse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -295,6 +297,26 @@ def test_float_overflow_past_a_exits_2(capsys, argv):
     assert line.startswith("config error: a too small")
 
 
+def test_nan_in_the_float_gauge_exits_2(capsys, monkeypatch):
+    # at a = 3e-40 the p = 0 module of the family with root -3 has a
+    # float gauge residual with NaN entries behind finite ones (the
+    # other modules overflow first there, so only that one is moved to
+    # this a); it must be refused, not read as a small residual
+    module = repcheck.q5_module
+    tiny = Fraction(3, 10 ** 41)
+
+    def one_tiny_module(family, p, h=1, a=1):
+        if p == 0 and any(r.format() == "-3" for r in family.roots):
+            a = tiny
+        return module(family, p, h=h, a=a)
+
+    monkeypatch.setattr(repcheck, "q5_module", one_tiny_module)
+    assert cli.main(["repcheck", "--p-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: a too small")
+
+
 def test_tiny_a_runs_with_no_level_below_the_cutoff(tmp_path):
     code, doc = run_json(["numeric", "--a", "1e-100"] + FAST, tmp_path)
     assert code == 0
@@ -446,6 +468,60 @@ def test_repcheck_stdout_matches_golden(capsys):
     assert cli.main(["repcheck"]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "repcheck.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_spectrum_stdout_matches_golden(capsys):
+    # every verdict and every for-all-p decision of the q5 catalog at
+    # p_max = 50, pinned byte for byte
+    assert cli.main(["spectrum", "--p-max", "50"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "spectrum.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("p_max", [0, 1, 2])
+def test_for_all_p_decision_does_not_depend_on_p_max(tmp_path, p_max):
+    # the family with roots {0, p + 1, 2, 3} is unitary at p = 1 only; a
+    # vote over the sampled p called it unitary for all p at p_max = 1,
+    # and every family non-unitary at p_max = 0
+    code, doc = run_json(["spectrum", "--p-max", str(p_max)], tmp_path)
+    assert code == 0
+    decided = {
+        tuple(fam["phi"]["roots"]):
+            (fam["unitary_for_all_p"], fam["exceptions"])
+        for fam in doc["families"]
+    }
+    assert decided == {
+        ("0", "p + 1", "-2", "1"): (False, []),
+        ("0", "p + 1", "-1", "-3"): (True, []),
+        ("0", "p + 1", "2", "3"): (False, [1]),
+        ("0", "p + 1", "p + 2", "p - 1"): (False, []),
+        ("0", "p + 1", "p", "p - 2"): (False, []),
+        ("0", "p + 1", "p + 3", "p + 4"): (True, []),
+    }
+    assert all("undecided" not in fam for fam in doc["families"])
+    assert all(len(fam["verdicts"]) == p_max for fam in doc["families"])
+
+
+def test_undecided_family_is_reported_with_its_reason(tmp_path, monkeypatch):
+    # a root of slope 2 in p is outside the decided class: the family
+    # keeps its per-p verdicts but gets no verdict for all p
+    table = algebra.master_table()
+    lead = parse("-4*h^2", table)
+    roots = tuple(parse(t, table) for t in ("0", "p + 1", "2*p + 3"))
+    phi = NFunc.const(table, lead)
+    for root in roots:
+        phi = phi * (NFunc.nu(table) - root)
+    zero = PolyFraction.const(table, 0)
+    family = spectrum.Family(0, 0, zero, zero, phi, lead, roots, None)
+    branch = spectrum.Branch(zero, 1)
+    monkeypatch.setattr(spectrum, "energy_families",
+                        lambda phi: ((branch,), (family,), ()))
+    code, doc = run_json(["spectrum", "--p-max", "3"], tmp_path)
+    assert code == 0
+    [row] = doc["families"]
+    assert row["verdicts"] == {"1": False, "2": False, "3": False}
+    assert row["unitary_for_all_p"] is None and row["exceptions"] is None
+    assert "2*p + 3" in row["undecided"]
 
 
 def test_console_module_subprocess():

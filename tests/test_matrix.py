@@ -6,6 +6,7 @@ bit-identical: the sparse product sums over k in ascending order and
 only skips terms that are exact zeros, which change no nonzero float.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -138,3 +139,11 @@ def test_equal_matrices_built_differently_are_equal():
 def test_non_square_rows_are_refused():
     with pytest.raises(ValueError):
         Matrix([[1, 2]])
+
+
+def test_max_abs_is_nan_wherever_a_nan_sits():
+    nan = float("nan")
+    for rows in ([[1.0, nan], [0.0, 2.0]], [[nan, 1.0], [0.0, 2.0]],
+                 [[1.0, 0.0], [0.0, nan]], [[nan]]):
+        assert math.isnan(Matrix(rows).max_abs())
+    assert Matrix([[1.0, -3.0], [0.0, 2.0]]).max_abs() == 3.0

@@ -1,6 +1,7 @@
 """Exact matrix modules and the symmetric floating gauge."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -172,3 +173,12 @@ def test_completed_random_modules_are_exact():
         residuals = repcheck.relation_residuals(module, spec, values)
         assert all(m.is_zero() for m in residuals.values())
         assert module.phi[0] == 0 and module.phi[-1] == 0
+
+
+def test_gauge_residual_over_nan_entries_is_nan(q5):
+    # at a = 3e-40 the p = 0 gauge of this family has NaN residual
+    # entries behind finite ones; a plain max over them read 0
+    _, spec, families = q5
+    family = family_with_root(families, "-3")
+    module, values = repcheck.q5_module(family, 0, 1, Fraction(3, 10 ** 41))
+    assert math.isnan(repcheck.symmetric_gauge_residual(module, spec, values))

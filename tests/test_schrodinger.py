@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy
 import pytest
@@ -67,10 +68,10 @@ def test_lowest_eigenvalues_match_dense_oracle():
     for _ in range(5):
         t = random_tridiag(rng, 50)
         eigs = sorted(numpy.linalg.eigvalsh(dense(t)))
-        got = sch.lowest_eigenvalues(t, 7, tol=1e-12)
+        got = list(islice(sch._eigenvalues(t, 1e-12), 7))
         assert max(abs(g - e) for g, e in zip(got, eigs)) < 1e-9
     with pytest.raises(ValueError):
-        sch.lowest_eigenvalues(t, 51)
+        sch.refined_levels(sch.y_potential, -12.0, 12.0, 50, 51)
 
 
 def test_box_calibration():
@@ -128,9 +129,12 @@ def test_outer_requires_wide_box():
 
 
 def test_grid_refinement_convergence_witness():
-    vx = lambda x: sch.x_potential(x)
-    coarse = sch.dirichlet_levels(vx, 1.0, 12.0, 1000, 3)
-    fine = sch.dirichlet_levels(vx, 1.0, 12.0, 2001, 3)
+    def levels(n):
+        t = sch.discretize(sch.x_potential, sch.Grid1D(1.0, 12.0, n))
+        return list(islice(sch._eigenvalues(t, 1e-10), 3))
+
+    coarse = levels(1000)
+    fine = levels(2001)
     assert max(abs(c - f) for c, f in zip(coarse, fine)) < 2e-3
 
 

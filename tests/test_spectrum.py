@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicalg import algebra, ladder, spectrum
 from cubicalg.errors import SingularSystem, UnresolvedFactor
@@ -132,6 +134,24 @@ def test_q5_unitarity_truth_table(catalog):
                 assert verdict.unitary == (verdict.p == 1)
 
 
+def test_q5_decisions(catalog):
+    _, families, _ = catalog
+    for energy_text, _, _, rule in FAMILY_TABLE:
+        decision = spectrum.unitarity_decision(find_family(families, energy_text))
+        assert decision.undecided is None
+        assert decision.eventual == (rule == "all")
+        assert decision.exceptions == ((1,) if rule == "p1" else ())
+
+
+def test_q5_sign_verdicts_match_horner(catalog):
+    _, families, _ = catalog
+    for family in families:
+        for p in range(0, 16):
+            assert spectrum.unitarity_verdict(family, p) == horner_verdict(family, p)
+    with pytest.raises(ValueError):
+        spectrum.unitarity_verdict(families[0], -1)
+
+
 def test_q5_borderline_interior_values(catalog):
     _, families, _ = catalog
     # the two look-alike families split exactly at p = 1
@@ -252,3 +272,77 @@ def test_truncation_completion_rejects_negative_p(catalog):
     sf = spectrum.q5_structure_function()
     with pytest.raises(ValueError):
         spectrum.complete_truncation(sf.phi, Fraction(1, 3), -1)
+
+
+def horner_verdict(family, p):
+    """The verdict read off Phi evaluated at every level: the oracle."""
+    instance = spectrum.family_instance(family, p)
+    for x in range(1, p + 1):
+        sign = instance.values[x].sign_for_positive_symbols()
+        assert sign is not None
+        if sign <= 0:
+            return spectrum.Verdict(p, False, x)
+    return spectrum.Verdict(p, True, None)
+
+
+def made_family(lead_text, root_texts, residual=None):
+    """A Family whose Phi over the levels is lead * prod (x - root),
+    times residual (an NFunc) when one is given."""
+    table = algebra.master_table()
+    lead = expect(lead_text)
+    roots = tuple(expect(t) for t in root_texts)
+    phi = NFunc.const(table, lead)
+    for root in roots:
+        phi = phi * (NFunc.nu(table) - root)
+    if residual is not None:
+        phi = phi * residual
+    zero = PolyFraction.const(table, 0)
+    return spectrum.Family(0, 1, zero, zero, phi, lead, roots, residual)
+
+
+ROOT = st.tuples(st.integers(-6, 6), st.sampled_from((0, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((1, -1)), st.lists(ROOT, min_size=2, max_size=5))
+def test_sign_test_and_decision_match_horner(lead_sign, roots):
+    lead = "%d*h^2/a" % (4 * lead_sign)
+    texts = ["%d + %d*p" % (c0, c1) for c0, c1 in roots]
+    family = made_family(lead, texts)
+    bound = max(abs(c0) for c0, _ in roots)
+    last = 2 * bound + 25
+    horner = [horner_verdict(family, p) for p in range(0, max(40, last) + 1)]
+    assert [spectrum.unitarity_verdict(family, p)
+            for p in range(0, 41)] == horner[:41]
+    decision = spectrum.unitarity_decision(family)
+    assert decision.undecided is None
+    assert all(v.unitary == decision.eventual
+               for v in horner[2 * bound + 3: last + 1])
+    assert decision.exceptions == tuple(
+        p for p in range(1, last + 1) if horner[p].unitary != decision.eventual
+    )
+
+
+@pytest.mark.parametrize("lead, roots, residual, reason", [
+    # residual x^2 + 1, by its coefficients
+    ("-4*h^2", ("0", "p + 1"), ("1", "0", "1"), "unsplit factor of degree 2"),
+    ("-4*h^2", ("0", "p + 1", "2*p + 3"), None, "not c0 + c1*p"),
+    ("-4*h^2", ("0", "p + 1", "-h"), None, "depends on symbols other than p"),
+    ("h^2 - a", ("0", "p + 1"), None, "not fixed by positivity"),
+])
+def test_undecided_families_keep_the_level_by_level_verdict(
+        lead, roots, residual, reason):
+    if residual is not None:
+        residual = NFunc.from_coeffs(
+            algebra.master_table(), [expect(c) for c in residual]
+        )
+    family = made_family(lead, roots, residual)
+    decision = spectrum.unitarity_decision(family)
+    assert decision.eventual is None and decision.exceptions is None
+    assert reason in decision.undecided
+    if "positivity" in reason:
+        with pytest.raises(ValueError):
+            spectrum.unitarity_verdict(family, 2)
+    else:
+        for p in range(0, 8):
+            assert spectrum.unitarity_verdict(family, p) == horner_verdict(family, p)
