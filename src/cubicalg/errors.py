@@ -27,6 +27,10 @@ class UnresolvedFactor(CubicalgError):
     """A polynomial kept a factor the exact root search cannot split."""
 
 
+class UndecidedSign(CubicalgError, ValueError):
+    """Positivity of the symbols does not fix a sign that a verdict needs."""
+
+
 class NotInSpan(CubicalgError):
     """An operator cannot be written over the requested basis."""
 

@@ -9,6 +9,7 @@ graded lexicographic with earlier table symbols more significant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import add
 
@@ -18,6 +19,18 @@ from .symbols import SymbolTable, check_same
 
 def term_key(exps):
     return (sum(exps), exps)
+
+
+def _over_common_denominator(terms):
+    """([(exps, integer numerator)], d) with terms = numerator / d each."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return [
+        (e, c.numerator * (den // c.denominator)) for e, c in terms.items()
+    ], den
 
 
 class MultiPoly:
@@ -79,6 +92,22 @@ class MultiPoly:
         if atom.constant:
             raw[zero] = atom.constant
         return cls._make(table, raw)
+
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def atom_product(table, exps):
+        """prod_k atom_k ** exps[k] over table, cached.
+
+        This is the factor that lifts a numerator over denominator
+        exponents d to the larger exponents d + exps.  Every caller gets
+        the same object, which is safe because no MultiPoly operation
+        changes its operands.
+        """
+        out = MultiPoly.const(table, 1)
+        for k, e in enumerate(exps):
+            if e:
+                out = out * MultiPoly.from_atom(table, k) ** e
+        return out
 
     def is_zero(self):
         return not self.terms
@@ -159,8 +188,11 @@ class MultiPoly:
             return NotImplemented
         raw = dict(self.terms)
         for exps, coeff in other.terms.items():
-            raw[exps] = raw.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.table, {e: c for e, c in raw.items() if c != 0})
+            if exps in raw:
+                raw[exps] += coeff
+            else:
+                raw[exps] = coeff
+        return MultiPoly(self.table, {e: c for e, c in raw.items() if c})
 
     __radd__ = __add__
 
@@ -183,20 +215,50 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # Factors hold i to the power 0 or 1, so a product term holds
-        # at most i^2 = -1, reduced as it comes.
+        # Factors hold i to the power 0 or 1, so a product term holds at
+        # most i^2 = -1, reduced as it comes.
         ii = self.table.imaginary_index
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        short, long = self, other
+        if len(short.terms) > len(long.terms):
+            short, long = other, self
+        if len(short.terms) <= 1:
+            # A monomial shifts exponents one to one, so no two products
+            # meet: one Fraction per term, from integer products.
+            terms = {}
+            for e1, c1 in short.terms.items():
+                n1, d1 = c1.numerator, c1.denominator
+                for e2, c2 in long.terms.items():
+                    exps = tuple(map(add, e1, e2))
+                    n = n1 * c2.numerator
+                    if ii is not None and exps[ii] == 2:
+                        exps = exps[:ii] + (0,) + exps[ii + 1 :]
+                        n = -n
+                    terms[exps] = Fraction(n, d1 * c2.denominator)
+            return MultiPoly(self.table, terms)
+        # Integer numerators over each factor's common denominator: one
+        # Fraction per output term.
+        left, den1 = _over_common_denominator(self.terms)
+        right, den2 = _over_common_denominator(other.terms)
+        acc = {}
+        for e1, c1 in left:
+            for e2, c2 in right:
                 exps = tuple(map(add, e1, e2))
                 coeff = c1 * c2
                 if ii is not None and exps[ii] == 2:
                     exps = exps[:ii] + (0,) + exps[ii + 1 :]
                     coeff = -coeff
-                old = terms.get(exps)
-                terms[exps] = coeff if old is None else old + coeff
-        return MultiPoly(self.table, {e: c for e, c in terms.items() if c})
+                if exps in acc:
+                    acc[exps] += coeff
+                else:
+                    acc[exps] = coeff
+        den = den1 * den2
+        if den == 1:
+            return MultiPoly(
+                self.table, {e: Fraction(c) for e, c in acc.items() if c}
+            )
+        return MultiPoly(
+            self.table, {e: Fraction(c, den) for e, c in acc.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -226,14 +288,12 @@ class MultiPoly:
 
     def derivative(self, name):
         idx = self.table.index(name)
-        raw = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            raw[lowered] = raw.get(lowered, Fraction(0)) + coeff * e
-        return MultiPoly(self.table, {e: c for e, c in raw.items() if c != 0})
+        # lowering one exponent keeps distinct terms distinct
+        return MultiPoly(self.table, {
+            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
+            for exps, coeff in self.terms.items()
+            if exps[idx]
+        })
 
     def evaluate(self, mapping):
         """Map every symbol to a value in any commutative ring.
@@ -276,7 +336,8 @@ class MultiPoly:
             quot[q_exps] = quot.get(q_exps, Fraction(0)) + q_coeff
             piece = MultiPoly._make(self.table, {q_exps: q_coeff}) * divisor
             for e, c in piece.terms.items():
-                nc = rem.get(e, Fraction(0)) - c
+                old = rem.get(e)
+                nc = -c if old is None else old - c
                 if nc == 0:
                     rem.pop(e, None)
                 else:

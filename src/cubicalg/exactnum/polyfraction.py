@@ -102,29 +102,38 @@ class PolyFraction:
             return cls(MultiPoly.const(table, value))
         return None
 
-    def _den_poly(self, exps=None):
-        exps = self.den if exps is None else exps
-        out = None
-        for k, e in enumerate(exps):
-            if e:
-                power = MultiPoly.from_atom(self.table, k) ** e
-                out = power if out is None else out * power
-        return MultiPoly.const(self.table, 1) if out is None else out
+    @classmethod
+    def sum(cls, table, pairs):
+        """Canonical sum of num / prod_k atom_k ** den[k].
 
-    def _lifted(self, target):
-        """The numerator over the larger denominator target."""
-        if target == self.den:
-            return self.num
-        return self.num * self._den_poly(
-            tuple(t - e for t, e in zip(target, self.den))
-        )
+        pairs is a nonempty iterable of (num, den).  Each numerator is
+        lifted to the largest exponents by cached atom products, and the
+        lifted numerators are added as one polynomial, so the atoms are
+        tested once, on the sum.
+        """
+        pairs = list(pairs)
+        target = tuple(max(col) for col in zip(*(den for _, den in pairs)))
+        acc = {}
+        for num, den in pairs:
+            if den != target:
+                num = num * MultiPoly.atom_product(
+                    table, tuple(t - e for t, e in zip(target, den))
+                )
+            for exps, coeff in num.terms.items():
+                if exps in acc:
+                    acc[exps] += coeff
+                else:
+                    acc[exps] = coeff
+        num = MultiPoly(table, {e: c for e, c in acc.items() if c})
+        return cls(num, target)
 
     def __add__(self, other):
         other = PolyFraction.coerce(self.table, other)
         if other is None:
             return NotImplemented
-        target = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        return PolyFraction(self._lifted(target) + other._lifted(target), target)
+        return PolyFraction.sum(
+            self.table, ((self.num, self.den), (other.num, other.den))
+        )
 
     __radd__ = __add__
 
@@ -171,7 +180,7 @@ class PolyFraction:
                 % self.format()
             )
         scale = 1 / rest.as_fraction()
-        new_num = self._den_poly() * scale
+        new_num = MultiPoly.atom_product(self.table, self.den) * scale
         return PolyFraction(new_num, tuple(found))
 
     def __truediv__(self, other):
@@ -202,18 +211,17 @@ class PolyFraction:
         return hash((self.num, self.den))
 
     def derivative(self, name):
-        out = PolyFraction(self.num.derivative(name), self.den)
+        pairs = [(self.num.derivative(name), self.den)]
         for k, e in enumerate(self.den):
             if e == 0:
                 continue
-            atom = MultiPoly.from_atom(self.table, k)
-            slope = atom.derivative(name)
+            slope = MultiPoly.from_atom(self.table, k).derivative(name)
             if slope.is_zero():
                 continue
             bumped = list(self.den)
             bumped[k] += 1
-            out = out + PolyFraction(-e * slope * self.num, tuple(bumped))
-        return out
+            pairs.append((-e * slope * self.num, tuple(bumped)))
+        return PolyFraction.sum(self.table, pairs)
 
     def substitute(self, mapping):
         """Replace symbols by same-table values; atoms must stay invertible."""

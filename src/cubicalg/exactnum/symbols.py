@@ -66,6 +66,12 @@ class SymbolTable:
         names = [a.name for a in self.atoms]
         if len(set(names)) != len(names):
             raise ValueError("duplicate atom name")
+        self._key = (
+            self.symbols,
+            self.imaginary_index,
+            tuple(a.key() for a in self.atoms),
+        )
+        self._hash = hash(self._key)
 
     @property
     def nvars(self):
@@ -83,18 +89,11 @@ class SymbolTable:
                 return i
         raise KeyError("unknown atom %r" % (name,))
 
-    def key(self):
-        return (
-            self.symbols,
-            self.imaginary_index,
-            tuple(a.key() for a in self.atoms),
-        )
-
     def __eq__(self, other):
-        return isinstance(other, SymbolTable) and self.key() == other.key()
+        return isinstance(other, SymbolTable) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return "SymbolTable(%s)" % (", ".join(self.symbols),)

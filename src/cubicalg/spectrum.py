@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import product
 
 from . import algebra, ladder
-from .errors import SingularSystem, UnresolvedFactor
+from .errors import SingularSystem, UndecidedSign, UnresolvedFactor
 from .exactnum import upoly
 from .exactnum.errors import ExactDivisionError
 from .exactnum.interpolate import lagrange
@@ -508,7 +508,8 @@ def unitarity_verdict(family, p_value):
 
     A family with a sign form (see unitarity_decision) is decided by
     integer sign tests; any other is evaluated level by level through
-    family_instance.
+    family_instance, and raises UndecidedSign at a level whose sign
+    positivity does not fix.
     """
     p_value = int(p_value)
     if p_value < 0:
@@ -520,7 +521,7 @@ def unitarity_verdict(family, p_value):
     for x in range(1, instance.p + 1):
         sign = instance.values[x].sign_for_positive_symbols()
         if sign is None:
-            raise ValueError(
+            raise UndecidedSign(
                 "sign of %s is not fixed by positivity" % instance.values[x].format()
             )
         if sign <= 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .casimir import acomm, comm
 from .errors import AmbiguousBasis, NotInSpan
@@ -114,6 +115,8 @@ class DiffOp:
                 memo[key, kx, ky] = got
             return got
 
+        # output part -> the (numerator, denominator exponents) of its
+        # Leibniz terms, summed into one PolyFraction at the end
         out = {}
         for (ax, ay), f in self.parts.items():
             for part in other.parts:
@@ -125,13 +128,17 @@ class DiffOp:
                         gxy = derivative(part, kx, ky)
                         if gxy.is_zero():
                             continue
-                        coeff = f * gxy * (comb(ax, kx) * comb(ay, ky))
+                        num = f.num * gxy.num
+                        binom = comb(ax, kx) * comb(ay, ky)
+                        if binom != 1:
+                            num = num * binom
+                        den = tuple(map(add, f.den, gxy.den))
                         key = (ax - kx + bx, ay - ky + by)
-                        if key in out:
-                            out[key] = out[key] + coeff
-                        else:
-                            out[key] = coeff
-        return DiffOp(self.table, out)
+                        out.setdefault(key, []).append((num, den))
+        return DiffOp(
+            self.table,
+            {key: PolyFraction.sum(self.table, terms) for key, terms in out.items()},
+        )
 
     def __rmul__(self, other):
         lifted = self._coerce_scalar(other)
@@ -274,43 +281,47 @@ def express_in_basis(target, basis):
     for _, op in basis:
         check_same(table, op.table)
         keys |= set(op.parts)
-    natoms = len(table.atoms)
     zero_pf = PolyFraction.const(table, 0)
+    ncols = len(basis) + 1
+    # shape -> one {scalar exponents: coefficient} dict per column
     rows = {}
     x_idx, y_idx = table.index(table.symbols[0]), table.index(table.symbols[1])
     i_idx = table.imaginary_index
     h_idx = table.index("h")
     a_idx = table.index("a")
+    blank = [0] * table.nvars
     for key in sorted(keys):
-        cols = [op.parts.get(key, zero_pf) for _, op in basis]
-        tgt = target.parts.get(key, zero_pf)
-        lcm = [0] * natoms
-        for pf in cols + [tgt]:
-            lcm = [max(m, e) for m, e in zip(lcm, pf.den)]
-        cleared = []
-        for pf in cols + [tgt]:
-            lift = [m - e for m, e in zip(lcm, pf.den)]
+        cells = [op.parts.get(key, zero_pf) for _, op in basis]
+        cells.append(target.parts.get(key, zero_pf))
+        lcm = tuple(max(col) for col in zip(*(pf.den for pf in cells)))
+        for j, pf in enumerate(cells):
             poly = pf.num
-            for k, e in enumerate(lift):
-                if e:
-                    poly = poly * MultiPoly.from_atom(table, k) ** e
-            cleared.append(poly)
-        for j, poly in enumerate(cleared):
+            if pf.den != lcm:
+                poly = poly * MultiPoly.atom_product(
+                    table, tuple(m - e for m, e in zip(lcm, pf.den))
+                )
             for exps, coeff in poly.terms.items():
                 shape = (key, exps[x_idx], exps[y_idx], exps[i_idx])
-                scalar_exps = [0] * table.nvars
+                scalar_exps = list(blank)
                 scalar_exps[h_idx] = exps[h_idx]
                 scalar_exps[a_idx] = exps[a_idx]
-                row = rows.setdefault(
-                    shape,
-                    [MultiPoly.zero(table) for _ in range(len(basis) + 1)],
-                )
-                row[j] = row[j] + MultiPoly.monomial(table, scalar_exps, coeff)
+                scalar_exps = tuple(scalar_exps)
+                row = rows.get(shape)
+                if row is None:
+                    row = rows[shape] = [{} for _ in range(ncols)]
+                cell = row[j]
+                if scalar_exps in cell:
+                    cell[scalar_exps] += coeff
+                else:
+                    cell[scalar_exps] = coeff
     matrix = []
     rhs = []
     seen = set()
     for shape in sorted(rows):
-        row = rows[shape]
+        row = [
+            MultiPoly(table, {e: c for e, c in cell.items() if c})
+            for cell in rows.pop(shape)
+        ]
         key = tuple(tuple(sorted(p.terms.items())) for p in row)
         if key in seen:
             continue

@@ -1,0 +1,41 @@
+"""Byte-compare two CLI outputs with their goldens, standard library only.
+
+Runs `derive --format csv` and `spectrum --p-max 50` through cli.main
+and compares their stdout with tests/golden/derive.csv and
+tests/golden/spectrum.json.  It needs no test dependency, so it can
+run on any supported Python:
+
+    PYTHONPATH=src python tests/check_golden.py
+
+Exits 1 when an output differs from its golden.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from cubicalg import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = (
+    (["derive", "--format", "csv"], "derive.csv"),
+    (["spectrum", "--p-max", "50"], "spectrum.json"),
+)
+
+
+def main():
+    failed = 0
+    for argv, name in CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        same = code == 0 and out.getvalue().encode() == (GOLDEN / name).read_bytes()
+        print("%s %s: %s" % (" ".join(argv), name, "ok" if same else "DIFFERS"))
+        failed += not same
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

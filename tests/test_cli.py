@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cubicalg import algebra, cli, repcheck, spectrum
+from cubicalg import algebra, cli, repcheck, schrodinger, spectrum
 from cubicalg.exactnum import NFunc, PolyFraction, parse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -148,6 +148,44 @@ def test_all_document_and_determinism(tmp_path):
     assert doc["passed"] is False
     assert doc["verify"]["passed"] is True
     assert doc["compare"]["passed"] is False
+
+
+def test_all_runs_the_fd_solve_once(monkeypatch, tmp_path):
+    # compare reuses the numeric stage's levels instead of solving again
+    calls = []
+    levels = schrodinger.q5_levels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "q5_levels", counted)
+    code, _ = run_main(["all"] + FAST, tmp_path)
+    assert code == 1
+    assert len(calls) == 1
+
+
+def test_spectrum_reports_an_undecided_sign_in_one_line(monkeypatch, capsys):
+    # a family whose lead h^2 - a has no sign fixed by positivity: the
+    # level-by-level verdict cannot decide, and spectrum says so on one
+    # stderr line instead of a traceback
+    table = algebra.master_table()
+    lead = parse("h^2 - a", table)
+    roots = (parse("0", table), parse("p + 1", table))
+    phi = NFunc.const(table, lead)
+    for root in roots:
+        phi = phi * (NFunc.nu(table) - root)
+    zero = PolyFraction.const(table, 0)
+    family = spectrum.Family(0, 1, zero, zero, phi, lead, roots, None)
+    monkeypatch.setattr(spectrum, "energy_families",
+                        lambda phi: ((), [family], []))
+    assert cli.main(["spectrum", "--p-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "spectrum: UndecidedSign: sign of -h^2 + a is not fixed by"
+        " positivity\n"
+    )
 
 
 def test_csv_schemas(tmp_path):

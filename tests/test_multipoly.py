@@ -1,5 +1,6 @@
 """Polynomial and restricted-fraction arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,33 @@ def sym(name):
 
 def const(q):
     return MultiPoly.const(TABLE, q)
+
+
+def random_poly(rng, nterms, den_bound):
+    """Random polynomial with i to the power 0 or 1 and coefficients
+    of up to 40 digits over denominators up to den_bound."""
+    terms = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randint(0, 3) for _ in range(4)) + (rng.randint(0, 1),)
+        num = rng.randint(-10 ** 40, 10 ** 40) or 1
+        terms[exps] = Fraction(num, rng.randint(1, den_bound))
+    return MultiPoly(TABLE, terms)
+
+
+def product_oracle(p, q):
+    """Per-term Fraction products, with i*i reduced to -1."""
+    ii = TABLE.imaginary_index
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = [a + b for a, b in zip(e1, e2)]
+            coeff = c1 * c2
+            if exps[ii] == 2:
+                exps[ii] = 0
+                coeff = -coeff
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+    return {e: c for e, c in terms.items() if c != 0}
 
 
 class TestMultiPoly:
@@ -88,6 +116,30 @@ class TestMultiPoly:
         assert const(0).format() == "0"
         assert (-sym("x")).format() == "-x"
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_matches_per_term_fractions(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            dens = rng.choice((1, 12, 10 ** 30))
+            p = random_poly(rng, rng.randint(0, 6), dens)
+            q = random_poly(rng, rng.randint(0, 6), rng.choice((1, 7, 10 ** 25)))
+            got = p * q
+            assert got.terms == product_oracle(p, q)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            assert (p * 0).is_zero() and (p * (q - q)).is_zero()
+            assert (Fraction(3, 10 ** 20) * p).terms == product_oracle(
+                const(Fraction(3, 10 ** 20)), p
+            )
+
+    def test_product_cancels_through_the_imaginary_unit(self):
+        x, y, i = sym("x"), sym("y"), sym("i")
+        half = Fraction(1, 2)
+        p = half * x + Fraction(1, 3) * i * y
+        q = 2 * x - 6 * i * y
+        assert (p * q).terms == product_oracle(p, q)
+        assert p * q == x ** 2 + 2 * y ** 2 - 3 * i * x * y + Fraction(2, 3) * i * x * y
+        assert (i * x) * (i * x) == -(x ** 2)
+
     def test_contents(self):
         x, y = sym("x"), sym("y")
         p = 4 * x ** 2 * y + 6 * x * y
@@ -141,6 +193,43 @@ class TestPolyFraction:
             - PolyFraction(x ** 2, (0, 2, 0))
         )
         assert got == expected
+
+    def test_sum_is_one_canonical_value(self):
+        x, a = sym("x"), sym("a")
+        # 1/(x-a) + 1/(x+a) - 2x/((x-a)(x+a)) = 0, and x/(x-a) - a/(x-a) = 1
+        total = PolyFraction.sum(TABLE, [
+            (const(1), (0, 1, 0)),
+            (const(1), (0, 0, 1)),
+            (-2 * x, (0, 1, 1)),
+        ])
+        assert total.is_zero() and total.den == (0, 0, 0)
+        one = PolyFraction.sum(TABLE, [(x, (0, 1, 0)), (-a, (0, 1, 0))])
+        assert one == PolyFraction(const(1))
+        terms = [(x ** 2 + a, (1, 2, 0)), (x * a, (0, 0, 1)), (const(3), (2, 0, 0))]
+        expected = PolyFraction(const(0))
+        for num, den in terms:
+            expected = expected + PolyFraction(num, den)
+        assert PolyFraction.sum(TABLE, terms) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_derivative_matches_quotient_rule_at_points(self, seed):
+        # d(N/D)/ds = (N' D - N D') / D^2, evaluated in plain Fractions
+        rng = random.Random(seed)
+        for _ in range(6):
+            num = random_poly(rng, rng.randint(1, 4), 5)
+            den = tuple(rng.randint(0, 2) for _ in range(3))
+            value = PolyFraction(num, den)
+            den_poly = MultiPoly.atom_product(TABLE, den)
+            for name in ("x", "a", "y"):
+                got = value.derivative(name)
+                assert got == PolyFraction(got.num, got.den)
+                point = {s: Fraction(rng.randint(2, 9), rng.randint(1, 3))
+                         for s in ("x", "y", "h", "i")}
+                point["a"] = point["x"] + 5
+                n, d = num.evaluate(point), den_poly.evaluate(point)
+                dn = num.derivative(name).evaluate(point)
+                dd = den_poly.derivative(name).evaluate(point)
+                assert got.evaluate(point) == (dn * d - n * dd) / d ** 2
 
     def test_substitute_keeps_atoms_invertible(self):
         x, a = sym("x"), sym("a")

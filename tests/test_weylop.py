@@ -1,10 +1,14 @@
 """Differential operators of the two-wall system."""
 
+import random
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from cubicalg import weylop
 from cubicalg.errors import AmbiguousBasis, NotInSpan
-from cubicalg.exactnum import parse
+from cubicalg.exactnum import MultiPoly, PolyFraction, parse
 from cubicalg.weylop import DiffOp, acomm, comm, express_in_basis, q5_symbol_table
 
 
@@ -84,3 +88,84 @@ def test_express_rejects_degenerate_basis(suite):
     h = suite.hamiltonian
     with pytest.raises(AmbiguousBasis):
         express_in_basis(h, [("first", h), ("second", h)])
+
+
+def leibniz_oracle(left, right):
+    """left * right with one PolyFraction per Leibniz term, summed one
+    term at a time."""
+    table = left.table
+    zero = PolyFraction.const(table, 0)
+    out = {}
+    for (ax, ay), f in left.parts.items():
+        for (bx, by), g in right.parts.items():
+            for kx in range(ax + 1):
+                for ky in range(ay + 1):
+                    d = g
+                    for _ in range(kx):
+                        d = d.derivative("x")
+                    for _ in range(ky):
+                        d = d.derivative("y")
+                    key = (ax - kx + bx, ay - ky + by)
+                    term = f * d * (comb(ax, kx) * comb(ay, ky))
+                    out[key] = out.get(key, zero) + term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def random_coefficient(rng, table):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = tuple(rng.randint(0, 2) for _ in range(4)) + (rng.randint(0, 1),)
+        terms[exps] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    den = tuple(rng.randint(0, 2) for _ in range(len(table.atoms)))
+    return PolyFraction(MultiPoly(table, terms), den)
+
+
+def random_op(rng, table):
+    parts = {}
+    for _ in range(rng.randint(1, 3)):
+        parts[(rng.randint(0, 2), rng.randint(0, 2))] = random_coefficient(rng, table)
+    return DiffOp(table, parts)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_product_matches_per_leibniz_term_sum(seed):
+    rng = random.Random(seed)
+    table = q5_symbol_table()
+    for _ in range(4):
+        left, right = random_op(rng, table), random_op(rng, table)
+        assert (left * right).parts == leibniz_oracle(left, right)
+
+
+def test_suite_product_matches_per_leibniz_term_sum(suite):
+    a, b = suite.first_integral, suite.second_integral
+    assert (a * b).parts == leibniz_oracle(a, b)
+
+
+def test_suite_parts_are_canonical(suite):
+    for op in (suite.hamiltonian, suite.first_integral,
+               suite.second_integral, suite.commutator):
+        for part in op.parts.values():
+            assert part == PolyFraction(part.num, part.den)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_express_recovers_a_known_combination(suite, seed):
+    rng = random.Random(seed)
+    table = suite.table
+    h, a = suite.hamiltonian, suite.first_integral
+    one = DiffOp.from_scalar(table, 1)
+    basis = [("one", one), ("H", h), ("A", a), ("A2", a * a), ("HA", h * a)]
+    coeffs = {}
+    for label, _ in basis:
+        if rng.random() < 0.2:
+            coeffs[label] = PolyFraction.const(table, 0)
+            continue
+        text = "%d/%d*h^%d*a^%d/a^%d" % (
+            rng.randint(-9, 9) or 1, rng.randint(1, 9),
+            rng.randint(0, 4), rng.randint(0, 2), rng.randint(0, 4),
+        )
+        coeffs[label] = parse(text, table)
+    target = DiffOp.zero(table)
+    for label, op in basis:
+        target = target + coeffs[label] * op
+    assert express_in_basis(target, basis) == coeffs
