@@ -138,7 +138,13 @@ class PolyFraction:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyFraction(-self.num, self.den)
+        # an atom divides -num exactly when it divides num, so the
+        # negated value is canonical as it stands
+        out = object.__new__(PolyFraction)
+        out.table = self.table
+        out.num = -self.num
+        out.den = self.den
+        return out
 
     def __sub__(self, other):
         other = PolyFraction.coerce(self.table, other)

@@ -5,9 +5,12 @@ slice in x whose inverse-square barriers at x = +-a are impenetrable,
 so the x problem splits into three independent Dirichlet wells and the
 outer two are mirror images.  Planar levels are sums of one x level
 and one y level.  Eigenvalues of the three-point discretization come
-from Sturm counting and bisection, and Richardson extrapolation
-removes the leading step-size error.  Everything here is plain
-floating point; the exact modules never depend on it.
+from Sturm counting and bisection: every level of a matrix bisects
+from the same Gershgorin interval, and the levels share the Sturm
+count of each midpoint they have in common, so each level is the same
+float as an independent bisection for it alone.  Richardson
+extrapolation removes the leading step-size error.  Everything here is
+plain floating point; the exact modules never depend on it.
 """
 
 import math
@@ -122,31 +125,21 @@ def discretize(v: Callable[[float], float], grid: Grid1D) -> TridiagMatrix:
 
 
 def sturm_count(diag, off, lam):
-    """Number of eigenvalues of the tridiagonal matrix below lam."""
+    """Number of eigenvalues of the tridiagonal matrix below lam.
+
+    The pivots are q_i = d_i - lam - e_{i-1}^2 / q_{i-1}, with e_{-1} = 0;
+    a pivot of magnitude under 1e-300, signed zeros included, is taken
+    as -1e-300.
+    """
     count = 0
     q = 1.0
-    tiny = 1e-300
-    for i, d in enumerate(diag):
-        e2 = off[i - 1] * off[i - 1] if i else 0.0
-        q = d - lam - e2 / q
-        if abs(q) < tiny:
-            q = -tiny
-        if q < 0.0:
+    for d, e in zip(diag, (0.0, *off)):
+        q = d - lam - e * e / q
+        if q < 1e-300:
+            if q > -1e-300:
+                q = -1e-300
             count += 1
     return count
-
-
-def _eigenvalue_k(t: TridiagMatrix, k: int, lo: float, hi: float, tol: float):
-    a, b = lo, hi
-    for _ in range(128):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        if sturm_count(t.diagonal, t.offdiagonal, mid) > k:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
 
 
 def _gershgorin(t: TridiagMatrix):
@@ -161,10 +154,29 @@ def _gershgorin(t: TridiagMatrix):
 
 def _eigenvalues(t: TridiagMatrix, tol: float):
     """Eigenvalues of t, lowest first, each bisected to width tol from
-    the Gershgorin interval."""
+    the Gershgorin interval.
+
+    Every level bisects from the same interval, so levels that share a
+    midpoint share its Sturm count: one sweep per distinct midpoint.
+    Level k is the same float as an independent bisection for k alone.
+    """
     lo, hi = _gershgorin(t)
+    diag, off = t.diagonal, t.offdiagonal
+    counts = {}
     for k in range(t.size):
-        yield _eigenvalue_k(t, k, lo, hi, tol)
+        a, b = lo, hi
+        for _ in range(128):
+            if b - a <= tol:
+                break
+            mid = 0.5 * (a + b)
+            below = counts.get(mid)
+            if below is None:
+                below = counts[mid] = sturm_count(diag, off, mid)
+            if below > k:
+                b = mid
+            else:
+                a = mid
+        yield 0.5 * (a + b)
 
 
 def _refined(v, lo, hi, n, tol):

@@ -1,9 +1,9 @@
-"""Byte-compare two CLI outputs with their goldens, standard library only.
+"""Byte-compare three CLI outputs with their goldens, standard library only.
 
-Runs `derive --format csv` and `spectrum --p-max 50` through cli.main
-and compares their stdout with tests/golden/derive.csv and
-tests/golden/spectrum.json.  It needs no test dependency, so it can
-run on any supported Python:
+Runs `derive --format csv`, `spectrum --p-max 50` and `numeric --grid 500`
+through cli.main and compares their stdout with tests/golden/derive.csv,
+tests/golden/spectrum.json and tests/golden/numeric.json.  It needs no
+test dependency, so it can run on any supported Python:
 
     PYTHONPATH=src python tests/check_golden.py
 
@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = (
     (["derive", "--format", "csv"], "derive.csv"),
     (["spectrum", "--p-max", "50"], "spectrum.json"),
+    (["numeric", "--grid", "500"], "numeric.json"),
 )
 
 

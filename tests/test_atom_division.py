@@ -125,3 +125,25 @@ def test_invert_rational_times_atom_powers(name):
         assert inv.num == want
         assert inv.format() == PolyFraction(want, inv.den).format()
         assert value * inv == one
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_negation_keeps_the_canonical_form(name):
+    # __neg__ skips the atom tests: it must give what a full build of
+    # -num over the same denominator gives
+    table = TABLES[name]
+    rng = random.Random(4)
+    seen = 0
+    while seen < 60:
+        mult = [rng.randint(0, 3) for _ in table.atoms]
+        num = random_poly(rng, table) * atom_product(table, mult)
+        value = PolyFraction(num, tuple(rng.randint(0, 3) for _ in table.atoms))
+        if not any(value.den):
+            continue
+        seen += 1
+        neg = -value
+        built = PolyFraction(-value.num, value.den)
+        assert list(neg.num.terms.items()) == list(built.num.terms.items())
+        assert neg.den == built.den == value.den
+        assert neg.table is value.table
+        assert neg + value == PolyFraction.const(table, 0)

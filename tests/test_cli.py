@@ -516,6 +516,15 @@ def test_spectrum_stdout_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_numeric_stdout_matches_golden(capsys):
+    # the finite-difference levels and both calibrations at grid 500,
+    # pinned byte for byte: a faster eigenvalue search must return the
+    # same floats, not merely close ones
+    assert cli.main(["numeric", "--grid", "500"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "numeric.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("p_max", [0, 1, 2])
 def test_for_all_p_decision_does_not_depend_on_p_max(tmp_path, p_max):
     # the family with roots {0, p + 1, 2, 3} is unitary at p = 1 only; a

@@ -74,6 +74,75 @@ def test_lowest_eigenvalues_match_dense_oracle():
         sch.refined_levels(sch.y_potential, -12.0, 12.0, 50, 51)
 
 
+def reference_sturm_count(diag, off, lam):
+    # the indexed sweep with abs() on the pivot, kept as the reference
+    count = 0
+    q = 1.0
+    tiny = 1e-300
+    for i, d in enumerate(diag):
+        e2 = off[i - 1] * off[i - 1] if i else 0.0
+        q = d - lam - e2 / q
+        if abs(q) < tiny:
+            q = -tiny
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def reference_eigenvalues(t, tol):
+    # each level bisected on its own from the Gershgorin interval,
+    # sharing nothing with the other levels
+    lo, hi = sch._gershgorin(t)
+    out = []
+    for k in range(t.size):
+        a, b = lo, hi
+        for _ in range(128):
+            if b - a <= tol:
+                break
+            mid = 0.5 * (a + b)
+            if reference_sturm_count(t.diagonal, t.offdiagonal, mid) > k:
+                b = mid
+            else:
+                a = mid
+        out.append(0.5 * (a + b))
+    return out
+
+
+@pytest.mark.parametrize("diag, off, lam", [
+    ((1.0, 1.0, 1.0), (0.0, 0.0), 1.0),        # exact zero pivots
+    ((-0.0, 2.0), (1.0,), 0.0),                 # a -0.0 pivot
+    ((1.0, 2.0), (1.0,), 1.0),                  # zero pivot, then huge
+    ((-5e-301, 3.0), (2.0,), 0.0),              # pivot in (-1e-300, 0)
+    ((5e-301, 3.0), (2.0,), 0.0),               # pivot in (0, 1e-300)
+    ((-1e-300, 1.0), (1e-150,), 0.0),           # pivot exactly -1e-300
+    ((1e-300, 1.0), (1e-150,), 0.0),            # pivot exactly 1e-300
+    ((1.0, math.nan, 1.0), (1.0, 1.0), 0.5),    # a NaN pivot
+])
+def test_sturm_count_matches_reference_on_tiny_pivots(diag, off, lam):
+    assert sch.sturm_count(diag, off, lam) == reference_sturm_count(diag, off, lam)
+    assert sch.sturm_count(list(diag), list(off), lam) == sch.sturm_count(diag, off, lam)
+
+
+def test_shared_counts_give_the_same_floats_on_random_tridiagonals():
+    rng = random.Random(386)
+    for _ in range(25):
+        n = rng.randrange(3, 40)
+        diag = [rng.choice((1.0, -2.0, rng.uniform(-5.0, 5.0))) for _ in range(n)]
+        off = [rng.choice((0.0, 1.0, rng.uniform(-3.0, 3.0))) for _ in range(n - 1)]
+        t = sch.TridiagMatrix(tuple(diag), tuple(off))
+        for lam in (-2.0, 0.0, 1.0, rng.uniform(-8.0, 8.0)):
+            want = reference_sturm_count(t.diagonal, t.offdiagonal, lam)
+            assert sch.sturm_count(t.diagonal, t.offdiagonal, lam) == want
+        for tol in (1e-10, 1e-3):
+            assert list(sch._eigenvalues(t, tol)) == reference_eigenvalues(t, tol)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 12.0)])
+def test_shared_counts_give_the_same_floats_on_q5_wells(lo, hi):
+    t = sch.discretize(sch.x_potential, sch.Grid1D(lo, hi, 200))
+    assert list(sch._eigenvalues(t, 1e-10)) == reference_eigenvalues(t, 1e-10)
+
+
 def test_box_calibration():
     assert abs(sch.box_ground() - math.pi ** 2 / 2.0) < 1e-3
 
