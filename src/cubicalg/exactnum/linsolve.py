@@ -13,10 +13,13 @@ homomorphism on polynomials whose coefficient denominators P does not
 divide, so a nonsingular residue matrix proves that the n x n minor of
 those rows is a nonzero polynomial: the system has at most one solution,
 Bareiss on the n rows finds it, and substituting it exactly into every
-other row decides consistency.  A singular residue matrix proves
-nothing (the point may be a root of the minor), nor does an entry with
-a denominator divisible by P or an imaginary symbol, which evaluation
-does not respect; those systems are eliminated in full.
+other row decides consistency.  An entry's residue is that of its
+integer primitive part times its content, so only the content's
+denominator can be divisible by P.  A singular residue matrix proves
+nothing (the point may be a root of the minor), nor does an entry whose
+content's denominator P divides or that holds the imaginary symbol,
+which evaluation does not respect; those systems are eliminated in
+full.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class RankDeficientSystem(CubicalgError):
 
 
 def _pivot_quality(entry, order):
-    return (0 if entry.is_rational() else 1, len(entry.terms), order)
+    return (0 if entry.is_rational() else 1, len(entry.ints), order)
 
 
 def _simplify_ratio(num, den):
@@ -94,7 +97,7 @@ def _independent_rows(rows):
     for row in rows:
         values = []
         for entry in row:
-            if ii is not None and any(exps[ii] for exps in entry.terms):
+            if ii is not None and any(exps[ii] for exps in entry.ints):
                 return None
             value = _mod_p(entry, point)
             if value is None:

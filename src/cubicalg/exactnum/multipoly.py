@@ -1,17 +1,38 @@
 """Exact multivariate polynomials with rational coefficients.
 
-Terms map exponent tuples to nonzero Fractions.  When the table marks a
-symbol as imaginary its square reduces eagerly to -1, so stored
-exponents of that symbol are always 0 or 1.  Term order everywhere is
-graded lexicographic with earlier table symbols more significant.
+A value is stored in primitive form, content times primitive part
+(Geddes, Czapor & Labahn, Algorithms for Computer Algebra, 1992, ch. 2).
+`ints` maps exponent tuples to nonzero integers whose gcd is 1, and the
+content is one positive rational kept as a reduced integer pair
+(`cn`, `cd`).  Zero has no integers and content 1.  The sign sits in
+the integers, so the form is canonical: == and hash compare it as it
+stands.
+
+By Gauss's lemma a product of primitive polynomials is primitive, so a
+product multiplies the contents, convolves the integers and takes no
+gcd.  The lemma fails once the imaginary symbol's square is reduced to
+-1, since (1 + i)(1 - i) = 2: a product that makes such a reduction takes
+the gcd again.  A scalar product only rescales the content.  A sum
+brings the contents to one denominator and takes one gcd of the summed
+integers.  Trial division divides primitive parts over the integers;
+for a divisor free of i a quotient coefficient that is not an integer
+proves, by the same lemma, that the divisor does not divide.
+
+When the table marks a symbol as imaginary its square reduces eagerly
+to -1, so stored exponents of that symbol are always 0 or 1.  Term
+order everywhere is graded lexicographic with earlier table symbols
+more significant.  `terms` is a read-only {exponents: Fraction} view,
+built once per value, for printing, evaluation and tests; no arithmetic
+reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 
 from .errors import ExactDivisionError
 from .symbols import SymbolTable, check_same
@@ -21,26 +42,63 @@ def term_key(exps):
     return (sum(exps), exps)
 
 
-def _over_common_denominator(terms):
-    """([(exps, integer numerator)], d) with terms = numerator / d each."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    return [
-        (e, c.numerator * (den // c.denominator)) for e, c in terms.items()
-    ], den
+def _new(table, ints, cn=1, cd=1):
+    """A MultiPoly from integers with gcd 1 and a reduced content cn/cd > 0."""
+    out = object.__new__(MultiPoly)
+    out.table = table
+    out.ints = ints
+    out.cn = cn
+    out.cd = cd
+    out._terms = None
+    return out
+
+
+def _primitive(table, raw, cn=1, cd=1):
+    """raw * cn / cd in primitive form.
+
+    raw maps exponents to integers, zeros allowed; cn and cd are
+    positive integers.
+    """
+    ints = {e: c for e, c in raw.items() if c}
+    if not ints:
+        return _new(table, ints)
+    g = gcd(*ints.values())
+    if g != 1:
+        ints = {e: c // g for e, c in ints.items()}
+        cn *= g
+    g = gcd(cn, cd)
+    if g != 1:
+        cn //= g
+        cd //= g
+    return _new(table, ints, cn, cd)
+
+
+def _content_product(cn1, cd1, cn2, cd2):
+    """(cn1/cd1) * (cn2/cd2) as a reduced pair, both factors reduced."""
+    g1 = gcd(cn1, cd2)
+    g2 = gcd(cn2, cd1)
+    return (cn1 // g1) * (cn2 // g2), (cd1 // g2) * (cd2 // g1)
 
 
 class MultiPoly:
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "ints", "cn", "cd", "_terms")
 
     def __init__(self, table, terms):
-        # Internal constructor: terms must already be reduced.  Build
-        # values through the classmethods or _make instead.
+        """The polynomial with rational coefficients {exponents: value}.
+
+        The exponents must already be reduced (i to the power 0 or 1);
+        arithmetic builds its results in primitive form directly.
+        """
+        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        den = lcm(*(c.denominator for c in terms.values()))
+        made = _primitive(table, {
+            e: c.numerator * (den // c.denominator) for e, c in terms.items()
+        }, 1, den)
         self.table = table
-        self.terms = terms
+        self.ints = made.ints
+        self.cn = made.cn
+        self.cd = made.cd
+        self._terms = None
 
     @classmethod
     def _make(cls, table, raw):
@@ -57,31 +115,36 @@ class MultiPoly:
                 exps = exps[:ii] + (r,) + exps[ii + 1 :]
             old = terms.get(exps)
             terms[exps] = coeff if old is None else old + coeff
-        return cls(table, {e: c for e, c in terms.items() if c})
+        return cls(table, terms)
+
+    from_ints = staticmethod(_primitive)
 
     @classmethod
     def zero(cls, table):
-        return cls(table, {})
+        return _new(table, {})
 
     @classmethod
     def const(cls, table, value):
         value = Fraction(value)
         if value == 0:
-            return cls(table, {})
-        return cls(table, {(0,) * table.nvars: value})
+            return _new(table, {})
+        n, d = value.numerator, value.denominator
+        return _new(table, {(0,) * table.nvars: 1 if n > 0 else -1}, abs(n), d)
 
     @classmethod
     def sym(cls, table, name):
         exps = [0] * table.nvars
         exps[table.index(name)] = 1
-        return cls(table, {tuple(exps): Fraction(1)})
+        return _new(table, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, table, exps, coeff=1):
         return cls._make(table, {tuple(int(e) for e in exps): Fraction(coeff)})
 
-    @classmethod
-    def from_atom(cls, table, atom_index):
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def from_atom(table, atom_index):
+        """The denominator atom as a polynomial, cached per table."""
         atom = table.atoms[atom_index]
         raw = {}
         zero = (0,) * table.nvars
@@ -91,7 +154,7 @@ class MultiPoly:
             raw[tuple(exps)] = Fraction(coeff)
         if atom.constant:
             raw[zero] = atom.constant
-        return cls._make(table, raw)
+        return MultiPoly._make(table, raw)
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -109,70 +172,88 @@ class MultiPoly:
                 out = out * MultiPoly.from_atom(table, k) ** e
         return out
 
+    @classmethod
+    def sum(cls, table, polys):
+        """Sum of same-table polynomials over one common denominator."""
+        polys = [p for p in polys if p.ints]
+        if not polys:
+            return _new(table, {})
+        den = lcm(*(p.cd for p in polys))
+        scales = [p.cn * (den // p.cd) for p in polys]
+        num = gcd(*scales)
+        acc = {}
+        for p, m in zip(polys, scales):
+            m //= num
+            for e, c in p.ints.items():
+                if e in acc:
+                    acc[e] += c * m
+                else:
+                    acc[e] = c * m
+        return _primitive(table, acc, num, den)
+
+    @property
+    def terms(self):
+        """Read-only {exponents: Fraction} view, built once."""
+        terms = self._terms
+        if terms is None:
+            cn, cd = self.cn, self.cd
+            terms = self._terms = MappingProxyType(
+                {e: Fraction(c * cn, cd) for e, c in self.ints.items()}
+            )
+        return terms
+
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def is_rational(self):
-        if not self.terms:
+        if not self.ints:
             return True
-        if len(self.terms) != 1:
+        if len(self.ints) != 1:
             return False
-        (exps,) = self.terms
+        (exps,) = self.ints
         return not any(exps)
 
     def as_fraction(self):
-        if not self.terms:
+        if not self.ints:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("polynomial is not constant: %s" % self.format())
-        return next(iter(self.terms.values()))
+        (c,) = self.ints.values()
+        return Fraction(c * self.cn, self.cd)
 
     def as_rational_monomial(self):
         """Return (coefficient, exponents) when the value is one term."""
-        if len(self.terms) != 1:
+        if len(self.ints) != 1:
             return None
-        exps, coeff = next(iter(self.terms.items()))
-        return coeff, exps
+        ((exps, c),) = self.ints.items()
+        return Fraction(c * self.cn, self.cd), exps
 
     def total_degree(self):
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.ints)
 
     def degree_in(self, name):
-        if not self.terms:
+        if not self.ints:
             return -1
         idx = self.table.index(name)
-        return max(e[idx] for e in self.terms)
+        return max(e[idx] for e in self.ints)
 
     def leading_term(self):
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=term_key)
-        return exps, self.terms[exps]
+        exps = max(self.ints, key=term_key)
+        return exps, Fraction(self.ints[exps] * self.cn, self.cd)
 
     def rational_content(self):
         """Positive Fraction g with self/g having coprime integer parts."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(self.cn, self.cd)
 
     def monomial_content(self):
         """Componentwise minimum exponent across all terms."""
-        if not self.terms:
+        if not self.ints:
             return (0,) * self.table.nvars
-        mins = None
-        for exps in self.terms:
-            if mins is None:
-                mins = list(exps)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, exps)]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.ints)))
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -186,79 +267,85 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        raw = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            if exps in raw:
-                raw[exps] += coeff
-            else:
-                raw[exps] = coeff
-        return MultiPoly(self.table, {e: c for e, c in raw.items() if c})
+        return MultiPoly.sum(self.table, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return _new(
+            self.table, {e: -c for e, c in self.ints.items()}, self.cn, self.cd
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return MultiPoly.sum(self.table, (self, -other))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return MultiPoly.sum(self.table, (other, -self))
+
+    def _scale(self, value):
+        """self * value for a rational value: the content moves, the
+        integers keep their magnitudes."""
+        if not value or not self.ints:
+            return _new(self.table, {})
+        n, d = value.numerator, value.denominator
+        ints = self.ints
+        if n < 0:
+            n = -n
+            ints = {e: -c for e, c in ints.items()}
+        return _new(self.table, ints, *_content_product(self.cn, self.cd, n, d))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        table = self.table
+        cn, cd = _content_product(self.cn, self.cd, other.cn, other.cd)
         # Factors hold i to the power 0 or 1, so a product term holds at
         # most i^2 = -1, reduced as it comes.
-        ii = self.table.imaginary_index
-        short, long = self, other
-        if len(short.terms) > len(long.terms):
-            short, long = other, self
-        if len(short.terms) <= 1:
-            # A monomial shifts exponents one to one, so no two products
-            # meet: one Fraction per term, from integer products.
-            terms = {}
-            for e1, c1 in short.terms.items():
-                n1, d1 = c1.numerator, c1.denominator
-                for e2, c2 in long.terms.items():
-                    exps = tuple(map(add, e1, e2))
-                    n = n1 * c2.numerator
-                    if ii is not None and exps[ii] == 2:
-                        exps = exps[:ii] + (0,) + exps[ii + 1 :]
-                        n = -n
-                    terms[exps] = Fraction(n, d1 * c2.denominator)
-            return MultiPoly(self.table, terms)
-        # Integer numerators over each factor's common denominator: one
-        # Fraction per output term.
-        left, den1 = _over_common_denominator(self.terms)
-        right, den2 = _over_common_denominator(other.terms)
+        ii = table.imaginary_index
+        short, long = self.ints, other.ints
+        if len(short) > len(long):
+            short, long = long, short
+        if len(short) <= 1:
+            if not short:
+                return _new(table, {})
+            # A primitive monomial is +-1 times a power product: it
+            # shifts exponents one to one, so no two products meet.
+            ((e1, c1),) = short.items()
+            ints = {}
+            for e2, c2 in long.items():
+                exps = tuple(map(add, e1, e2))
+                if ii is not None and exps[ii] == 2:
+                    exps = exps[:ii] + (0,) + exps[ii + 1 :]
+                    c2 = -c2
+                ints[exps] = c2 if c1 == 1 else -c2
+            return _new(table, ints, cn, cd)
         acc = {}
-        for e1, c1 in left:
+        reduced = False
+        right = other.ints.items()
+        for e1, c1 in self.ints.items():
             for e2, c2 in right:
                 exps = tuple(map(add, e1, e2))
                 coeff = c1 * c2
                 if ii is not None and exps[ii] == 2:
                     exps = exps[:ii] + (0,) + exps[ii + 1 :]
                     coeff = -coeff
+                    reduced = True
                 if exps in acc:
                     acc[exps] += coeff
                 else:
                     acc[exps] = coeff
-        den = den1 * den2
-        if den == 1:
-            return MultiPoly(
-                self.table, {e: Fraction(c) for e, c in acc.items() if c}
-            )
-        return MultiPoly(
-            self.table, {e: Fraction(c, den) for e, c in acc.items() if c}
-        )
+        if reduced:
+            return _primitive(table, acc, cn, cd)
+        return _new(table, {e: c for e, c in acc.items() if c}, cn, cd)
 
     __rmul__ = __mul__
 
@@ -281,19 +368,24 @@ class MultiPoly:
             other = MultiPoly.const(self.table, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return (
+            self.table == other.table
+            and self.cn == other.cn
+            and self.cd == other.cd
+            and self.ints == other.ints
+        )
 
     def __hash__(self):
-        return hash((self.table, tuple(sorted(self.terms.items()))))
+        return hash((self.cn, self.cd, frozenset(self.ints.items())))
 
     def derivative(self, name):
         idx = self.table.index(name)
         # lowering one exponent keeps distinct terms distinct
-        return MultiPoly(self.table, {
-            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
-            for exps, coeff in self.terms.items()
+        return _primitive(self.table, {
+            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: c * exps[idx]
+            for exps, c in self.ints.items()
             if exps[idx]
-        })
+        }, self.cn, self.cd)
 
     def evaluate(self, mapping):
         """Map every symbol to a value in any commutative ring.
@@ -320,29 +412,58 @@ class MultiPoly:
         return total
 
     def try_div(self, divisor):
-        """Exact quotient self / divisor, or None when not divisible."""
+        """Exact quotient self / divisor, or None when not divisible.
+
+        Divides the integers by the divisor's integers, leading term
+        first.  When the divisor holds i, a quotient coefficient may be
+        a proper fraction ((1 + i)(1 - i)/2 = 1): the remainder and the
+        quotient are then scaled to keep the integers exact.
+        """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        lt_exps, lt_coeff = divisor.leading_term()
-        rem = dict(self.terms)
+        table = self.table
+        ii = table.imaginary_index
+        dints = divisor.ints
+        exact = ii is not None and any(e[ii] for e in dints)
+        lt_exps = max(dints, key=term_key)
+        lt_coeff = dints[lt_exps]
+        rem = dict(self.ints)
         quot = {}
+        scale = 1
         while rem:
             exps = max(rem, key=term_key)
             q_exps = tuple(a - b for a, b in zip(exps, lt_exps))
             if any(e < 0 for e in q_exps):
                 return None
-            q_coeff = rem[exps] / lt_coeff
-            quot[q_exps] = quot.get(q_exps, Fraction(0)) + q_coeff
-            piece = MultiPoly._make(self.table, {q_exps: q_coeff}) * divisor
-            for e, c in piece.terms.items():
-                old = rem.get(e)
-                nc = -c if old is None else old - c
-                if nc == 0:
-                    rem.pop(e, None)
-                else:
+            q_coeff, r = divmod(rem[exps], lt_coeff)
+            if r:
+                if not exact:
+                    return None
+                m = lt_coeff // gcd(rem[exps], lt_coeff)
+                if m < 0:
+                    m = -m
+                rem = {e: c * m for e, c in rem.items()}
+                quot = {e: c * m for e, c in quot.items()}
+                scale *= m
+                q_coeff = rem[exps] // lt_coeff
+            quot[q_exps] = q_coeff
+            for e, c in dints.items():
+                e = tuple(map(add, e, q_exps))
+                c *= q_coeff
+                if ii is not None and e[ii] == 2:
+                    e = e[:ii] + (0,) + e[ii + 1 :]
+                    c = -c
+                nc = rem.get(e, 0) - c
+                if nc:
                     rem[e] = nc
-        return MultiPoly._make(self.table, quot)
+                else:
+                    rem.pop(e, None)
+        cn, cd = _content_product(self.cn, self.cd, divisor.cd, divisor.cn)
+        if scale == 1 and not exact:
+            # the quotient of primitive parts is primitive (Gauss)
+            return _new(table, quot, cn, cd)
+        return _primitive(table, quot, cn, cd * scale)
 
     def exact_div(self, divisor):
         out = self.try_div(divisor)

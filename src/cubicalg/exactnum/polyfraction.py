@@ -12,16 +12,22 @@ symbol, and the quotient lowers that exponent by one.  A linear atom
 s + L, monic in its leading symbol s, divides num exactly when num
 vanishes identically at s := -L; the quotient comes from synthetic
 division in s (Horner's rule with polynomial coefficients), whose
-remainder is that substituted value.  Most attempts fail, so num(-L) is
-first evaluated modulo the prime P = 2^61 - 1 with every other symbol at
-a fixed integer.  Reduction mod P is a ring homomorphism on the
-rationals whose denominators P does not divide, so a zero polynomial
-num(-L) has residue 0: a nonzero residue proves that the atom does not
-divide num.  A zero residue proves nothing and synthetic division
-decides; a coefficient denominator divisible by P skips the filter.
-The imaginary symbol counts as a free variable in both steps, which is
-exact because stored terms hold it to the power 0 or 1 and L does not
-involve it.  An atom that involves it falls back to MultiPoly.try_div.
+remainder is that substituted value.  Both steps run on num's integer
+primitive part: an atom with integer coefficients is primitive, so by
+Gauss's lemma the quotient is primitive and keeps num's content.
+
+Most attempts fail, so num(-L) is first evaluated modulo the prime
+P = 2^61 - 1 with every other symbol at a fixed integer.  Reduction mod
+P is a ring homomorphism on the rationals whose denominators P does not
+divide, so a zero polynomial num(-L) has residue 0: a nonzero residue
+proves that the atom does not divide num.  A zero residue proves
+nothing and synthetic division decides.  The integers reduce mod P as
+they stand; only the content's denominator can be divisible by P, and
+then the filter is skipped.  The imaginary symbol counts as a free
+variable in both steps, which is exact because stored terms hold it to
+the power 0 or 1 and L does not involve it.  An atom that involves it,
+or that has a coefficient which is not an integer, falls back to
+MultiPoly.try_div.
 """
 
 from __future__ import annotations
@@ -31,14 +37,18 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import ExactDivisionError, PoleError
-from .multipoly import MultiPoly, term_key
+from .multipoly import MultiPoly, _new, term_key
 from .symbols import check_same
 
 
 class PolyFraction:
     __slots__ = ("table", "num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=None, *, coprime=()):
+        """num / prod_k atom_k ** den[k] in canonical form.
+
+        coprime lists atoms known not to divide num; they are not tested.
+        """
         if not isinstance(num, MultiPoly):
             raise TypeError("num must be a MultiPoly")
         self.table = num.table
@@ -49,17 +59,17 @@ class PolyFraction:
             raise ValueError("denominator exponent count mismatch")
         if any(e < 0 for e in den):
             raise ValueError("negative denominator exponent")
-        num, den = self._cancel(num, den)
+        num, den = self._cancel(num, den, coprime)
         self.num = num
         self.den = den
 
     @staticmethod
-    def _cancel(num, den):
+    def _cancel(num, den, coprime=()):
         if num.is_zero():
             return num, (0,) * len(den)
         den = list(den)
         for k in range(len(den)):
-            while den[k] > 0:
+            while den[k] > 0 and k not in coprime:
                 quotient = _div_atom(num, k)
                 if quotient is None:
                     break
@@ -103,29 +113,24 @@ class PolyFraction:
         return None
 
     @classmethod
-    def sum(cls, table, pairs):
+    def sum(cls, table, pairs, coprime=()):
         """Canonical sum of num / prod_k atom_k ** den[k].
 
         pairs is a nonempty iterable of (num, den).  Each numerator is
         lifted to the largest exponents by cached atom products, and the
-        lifted numerators are added as one polynomial, so the atoms are
-        tested once, on the sum.
+        lifted numerators are added as one polynomial over one common
+        denominator, so the atoms are tested once, on the sum; coprime
+        lists atoms known not to divide it.
         """
         pairs = list(pairs)
         target = tuple(max(col) for col in zip(*(den for _, den in pairs)))
-        acc = {}
-        for num, den in pairs:
-            if den != target:
-                num = num * MultiPoly.atom_product(
-                    table, tuple(t - e for t, e in zip(target, den))
-                )
-            for exps, coeff in num.terms.items():
-                if exps in acc:
-                    acc[exps] += coeff
-                else:
-                    acc[exps] = coeff
-        num = MultiPoly(table, {e: c for e, c in acc.items() if c})
-        return cls(num, target)
+        nums = [
+            num if den == target else num * MultiPoly.atom_product(
+                table, tuple(t - e for t, e in zip(target, den))
+            )
+            for num, den in pairs
+        ]
+        return cls(MultiPoly.sum(table, nums), target, coprime=coprime)
 
     def __add__(self, other):
         other = PolyFraction.coerce(self.table, other)
@@ -217,17 +222,32 @@ class PolyFraction:
         return hash((self.num, self.den))
 
     def derivative(self, name):
+        """d/ds by the quotient rule, with one atom test per atom free of s.
+
+        Over the lifted denominator, an atom that holds s and has a
+        positive exponent e leaves the numerator -e * slope * num * (the
+        other lifted atoms) modulo itself.  num and the other atoms are
+        coprime to it, so it does not divide the sum and is not tested.
+        Atoms free of s keep their test: d/dy of (y(x-a) + 1)/(x-a) is
+        1, and d/dx of (a*x + 1)/a is 1.
+        """
+        table = self.table
+        idx = table.index(name)
         pairs = [(self.num.derivative(name), self.den)]
+        coprime = []
         for k, e in enumerate(self.den):
             if e == 0:
                 continue
-            slope = MultiPoly.from_atom(self.table, k).derivative(name)
-            if slope.is_zero():
+            atom = table.atoms[k]
+            slope = sum(c for j, c in atom.terms if j == idx)
+            if not slope:
                 continue
             bumped = list(self.den)
             bumped[k] += 1
-            pairs.append((-e * slope * self.num, tuple(bumped)))
-        return PolyFraction.sum(self.table, pairs)
+            pairs.append((self.num * (-e * slope), tuple(bumped)))
+            if all(j != table.imaginary_index for j, _ in atom.terms):
+                coprime.append(k)
+        return PolyFraction.sum(table, pairs, coprime)
 
     def substitute(self, mapping):
         """Replace symbols by same-table values; atoms must stay invertible."""
@@ -322,7 +342,7 @@ class PolyFraction:
                 return None
             if e and self.table.atoms[k].constant != 0:
                 return None
-        signs = {c > 0 for c in self.num.terms.values()}
+        signs = {c > 0 for c in self.num.ints.values()}
         if len(signs) != 1:
             return None
         return 1 if signs.pop() else -1
@@ -339,7 +359,7 @@ class PolyFraction:
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         if not parts:
             return num_text
-        if len(self.num.terms) > 1:
+        if len(self.num.ints) > 1:
             num_text = "(%s)" % num_text
         return num_text + "/" + "/".join(parts)
 
@@ -364,25 +384,47 @@ def _points(nvars):
 
 
 def _mod_p(num, point):
-    """num mod _P with symbol j at point[j].
+    """num mod _P with symbol j at point[j], a tuple.
 
-    Returns None when some coefficient denominator is divisible by _P,
-    where the value is undefined.
+    The integers are summed against the monomial values mod _P and the
+    sum is scaled by the content.  Returns None when the content's
+    denominator is divisible by _P, where the value is undefined.
     """
-    powers = {}
-    acc_num, acc_den = 0, 1
-    for exps, coeff in num.terms.items():
-        term, den = coeff.as_integer_ratio()
-        if den % _P == 0:
-            return None
-        for j, e in enumerate(exps):
-            if e:
-                if (j, e) not in powers:
-                    powers[j, e] = pow(point[j], e, _P)
-                term *= powers[j, e]
-        acc_num = (acc_num * den + term * acc_den) % _P
-        acc_den = acc_den * den % _P
-    return acc_num * pow(acc_den, -1, _P) % _P
+    if not num.ints:
+        return 0
+    if num.cd % _P == 0:
+        return None
+    values = _monomials(point)
+    acc = 0
+    for exps, c in num.ints.items():
+        v = values.get(exps)
+        if v is None:
+            v = 1
+            for j, e in enumerate(exps):
+                if e:
+                    v = v * pow(point[j], e, _P) % _P
+            values[exps] = v
+        acc += c * v
+    acc = acc % _P * num.cn % _P
+    if num.cd != 1:
+        acc = acc * _inverse(num.cd) % _P
+    return acc
+
+
+@lru_cache(maxsize=64)
+def _monomials(point):
+    """exponents -> monomial value mod _P at point, filled as met.
+
+    The filter evaluates at few points: the fixed one, and one per atom
+    with that atom's root in place of its leading symbol.
+    """
+    return {}
+
+
+@lru_cache(maxsize=1024)
+def _inverse(d):
+    """d ** -1 mod _P; a derivation meets few distinct denominators."""
+    return pow(d, -1, _P)
 
 
 def _residue(num, s, root):
@@ -400,38 +442,57 @@ def _residue(num, s, root):
         term = c.numerator * pow(c.denominator, -1, _P)
         value += term if j is None else term * point[j]
     point[s] = value % _P
-    return _mod_p(num, point) or 0
+    return _mod_p(num, tuple(point)) or 0
 
 
-def _descending(table, terms):
-    """MultiPoly with terms in descending order, as try_div builds them."""
-    return MultiPoly(
-        table, {e: terms[e] for e in sorted(terms, key=term_key, reverse=True)}
+def _descending(num, ints):
+    """num's content over the primitive ints in descending order, as
+    try_div builds them."""
+    return _new(
+        num.table,
+        {e: ints[e] for e in sorted(ints, key=term_key, reverse=True)},
+        num.cn,
+        num.cd,
     )
+
+
+@lru_cache(maxsize=64)
+def _integer_root(table, k):
+    """(s, root) for atom_k = s + L, root listing -L as (symbol index,
+    integer) pairs, None standing for the constant term; None when the
+    atom involves the imaginary symbol or a coefficient that is not an
+    integer."""
+    atom = table.atoms[k]
+    pairs = [(j, -c) for j, c in atom.terms[1:]]
+    if atom.constant:
+        pairs.append((None, -atom.constant))
+    if any(j == table.imaginary_index for j, _ in atom.terms) or any(
+        c.denominator != 1 for _, c in pairs
+    ):
+        return None
+    return atom.terms[0][0], tuple((j, int(c)) for j, c in pairs)
 
 
 def _div_atom(num, k):
     """Exact quotient num / atom_k, or None when the atom does not divide num."""
     table = num.table
-    atom = table.atoms[k]
-    s = atom.terms[0][0]
-    if any(j == table.imaginary_index for j, _ in atom.terms):
+    found = _integer_root(table, k)
+    if found is None:
         return num.try_div(MultiPoly.from_atom(table, k))
-    if len(atom.terms) == 1 and not atom.constant:
-        if any(exps[s] == 0 for exps in num.terms):
+    s, root = found
+    ints = num.ints
+    if not root:
+        if any(exps[s] == 0 for exps in ints):
             return None
-        return _descending(table, {
+        return _descending(num, {
             exps[:s] + (exps[s] - 1,) + exps[s + 1 :]: c
-            for exps, c in num.terms.items()
+            for exps, c in ints.items()
         })
-    root = [(j, -c) for j, c in atom.terms[1:]]
-    if atom.constant:
-        root.append((None, -atom.constant))
     if _residue(num, s, root):
         return None
-    top = max(exps[s] for exps in num.terms)
+    top = max(exps[s] for exps in ints)
     buckets = [{} for _ in range(top + 1)]
-    for exps, c in num.terms.items():
+    for exps, c in ints.items():
         buckets[exps[s]][exps[:s] + (0,) + exps[s + 1 :]] = c
     # Horner: carry runs through the quotient's coefficients of s^(d-1),
     # and what it holds after d = 0 is the remainder num(-L).
@@ -451,7 +512,7 @@ def _div_atom(num, k):
                 quot[e[:s] + (d - 1,) + e[s + 1 :]] = c
     if carry:
         return None
-    return _descending(table, quot)
+    return _descending(num, quot)
 
 
 def _atom_touches(table, atom_index, values):

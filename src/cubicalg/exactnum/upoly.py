@@ -98,8 +98,23 @@ def _divisors(n):
     return small + [n // d for d in small]
 
 
+def _vanishes(ints, n, d):
+    """Whether n/d is a root of the integer polynomial ints (ascending):
+    sum_i ints[i] n^i d^(deg - i) == 0, in integers only."""
+    total = 0
+    scale = 1
+    for c in reversed(ints):
+        total = total * n + c * scale
+        scale *= d
+    return total == 0
+
+
 def rational_roots(p):
-    """All rational roots with multiplicity, ascending; Fraction p only."""
+    """All rational roots with multiplicity, ascending; Fraction p only.
+
+    Every candidate n/d of the rational root theorem is tested over the
+    integers first; only the roots are divided out.
+    """
     p = trim(p)
     roots = []
     zeros = 0
@@ -112,14 +127,15 @@ def rational_roots(p):
         den = lcm(*(c.denominator for c in p))
         ints = [int(c * den) for c in p]
         g = gcd(*ints)
+        ints = [c // g for c in ints]
         candidates = {
             Fraction(s * num, d)
-            for num in _divisors(ints[0] // g)
-            for d in _divisors(ints[-1] // g)
+            for num in _divisors(ints[0])
+            for d in _divisors(ints[-1])
             for s in (1, -1)
         }
         for cand in sorted(candidates):
-            p, mult = divide_out(p, cand)
-            if mult:
+            if _vanishes(ints, cand.numerator, cand.denominator):
+                p, mult = divide_out(p, cand)
                 roots.append((cand, mult))
     return sorted(roots)

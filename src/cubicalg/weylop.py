@@ -283,7 +283,8 @@ def express_in_basis(target, basis):
         keys |= set(op.parts)
     zero_pf = PolyFraction.const(table, 0)
     ncols = len(basis) + 1
-    # shape -> one {scalar exponents: coefficient} dict per column
+    # shape -> one cell per column: the {scalar exponents: integer} of
+    # one lifted numerator, with that numerator's content
     rows = {}
     x_idx, y_idx = table.index(table.symbols[0]), table.index(table.symbols[1])
     i_idx = table.imaginary_index
@@ -300,7 +301,7 @@ def express_in_basis(target, basis):
                 poly = poly * MultiPoly.atom_product(
                     table, tuple(m - e for m, e in zip(lcm, pf.den))
                 )
-            for exps, coeff in poly.terms.items():
+            for exps, coeff in poly.ints.items():
                 shape = (key, exps[x_idx], exps[y_idx], exps[i_idx])
                 scalar_exps = list(blank)
                 scalar_exps[h_idx] = exps[h_idx]
@@ -308,25 +309,28 @@ def express_in_basis(target, basis):
                 scalar_exps = tuple(scalar_exps)
                 row = rows.get(shape)
                 if row is None:
-                    row = rows[shape] = [{} for _ in range(ncols)]
+                    row = rows[shape] = [None] * ncols
                 cell = row[j]
-                if scalar_exps in cell:
-                    cell[scalar_exps] += coeff
+                if cell is None:
+                    cell = row[j] = ({}, poly.cn, poly.cd)
+                ints = cell[0]
+                if scalar_exps in ints:
+                    ints[scalar_exps] += coeff
                 else:
-                    cell[scalar_exps] = coeff
+                    ints[scalar_exps] = coeff
     matrix = []
     rhs = []
     seen = set()
     for shape in sorted(rows):
-        row = [
-            MultiPoly(table, {e: c for e, c in cell.items() if c})
+        row = tuple(
+            MultiPoly.zero(table) if cell is None
+            else MultiPoly.from_ints(table, *cell)
             for cell in rows.pop(shape)
-        ]
-        key = tuple(tuple(sorted(p.terms.items())) for p in row)
-        if key in seen:
+        )
+        if row in seen:
             continue
-        seen.add(key)
-        matrix.append(row[: len(basis)])
+        seen.add(row)
+        matrix.append(list(row[: len(basis)]))
         rhs.append(row[len(basis)])
     try:
         pairs = solve_exact(matrix, rhs)

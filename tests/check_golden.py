@@ -1,9 +1,12 @@
-"""Byte-compare three CLI outputs with their goldens, standard library only.
+"""Byte-compare four CLI outputs with their goldens, standard library only.
 
-Runs `derive --format csv`, `spectrum --p-max 50` and `numeric --grid 500`
-through cli.main and compares their stdout with tests/golden/derive.csv,
-tests/golden/spectrum.json and tests/golden/numeric.json.  It needs no
-test dependency, so it can run on any supported Python:
+Runs `derive --format csv`, `spectrum --p-max 50`, `numeric --grid 500`
+and `repcheck` through cli.main and compares their stdout with
+tests/golden/derive.csv, tests/golden/spectrum.json,
+tests/golden/numeric.json and tests/golden/repcheck.json.  The last pins
+the exact modules and their float gauges, which read the coefficients
+of the exact kernel.  It needs no test dependency, so it can run on any
+supported Python:
 
     PYTHONPATH=src python tests/check_golden.py
 
@@ -23,6 +26,7 @@ CASES = (
     (["derive", "--format", "csv"], "derive.csv"),
     (["spectrum", "--p-max", "50"], "spectrum.json"),
     (["numeric", "--grid", "500"], "numeric.json"),
+    (["repcheck"], "repcheck.json"),
 )
 
 

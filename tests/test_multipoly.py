@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from cubicalg.exactnum import (
     SymbolTable,
     SymbolTableMismatch,
 )
+from cubicalg.exactnum.polyfraction import _P, _mod_p, _points
 
 TABLE = SymbolTable(
     ("x", "y", "h", "a", "i"),
@@ -54,6 +56,69 @@ def product_oracle(p, q):
             exps = tuple(exps)
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return {e: c for e, c in terms.items() if c != 0}
+
+
+def sum_oracle(*polys):
+    """Per-term Fraction sum."""
+    terms = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            terms[e] = terms.get(e, Fraction(0)) + c
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def derivative_oracle(p, name):
+    idx = TABLE.index(name)
+    return {
+        e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+        for e, c in p.terms.items()
+        if e[idx]
+    }
+
+
+def div_oracle(p, q):
+    """Trial division by leading terms in per-term Fractions, or None."""
+    key = lambda e: (sum(e), e)
+    lt = max(q.terms, key=key)
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        exps = max(rem, key=key)
+        q_exps = tuple(a - b for a, b in zip(exps, lt))
+        if min(q_exps) < 0:
+            return None
+        coeff = rem[exps] / q.terms[lt]
+        quot[q_exps] = coeff
+        piece = product_oracle(MultiPoly(TABLE, {q_exps: coeff}), q)
+        for e, c in piece.items():
+            rem[e] = rem.get(e, Fraction(0)) - c
+            if rem[e] == 0:
+                del rem[e]
+    return quot
+
+
+def assert_primitive(p):
+    """gcd 1 over the integers, a positive reduced content, and a terms
+    view that agrees with both."""
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert p.cn > 0 and p.cd > 0 and gcd(p.cn, p.cd) == 1
+    if p.ints:
+        assert gcd(*p.ints.values()) == 1
+    else:
+        assert (p.cn, p.cd) == (1, 1)
+    assert p.terms == {
+        e: Fraction(c * p.cn, p.cd) for e, c in p.ints.items()
+    }
+    return p
+
+
+def random_pairs(seed, count=20):
+    """Random operand pairs: zero, 40-digit numerators, mixed denominators."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = random_poly(rng, rng.randint(0, 6), rng.choice((1, 12, 10 ** 30)))
+        q = random_poly(rng, rng.randint(0, 6), rng.choice((1, 7, 10 ** 25)))
+        yield rng, p, q
 
 
 class TestMultiPoly:
@@ -130,6 +195,102 @@ class TestMultiPoly:
             assert (Fraction(3, 10 ** 20) * p).terms == product_oracle(
                 const(Fraction(3, 10 ** 20)), p
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_operation_matches_per_term_fractions(self, seed):
+        for rng, p, q in random_pairs(100 + seed):
+            scalar = Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 20))
+            k = rng.randint(-5, 5)
+            cases = [
+                (p + q, sum_oracle(p, q)),
+                (p - q, sum_oracle(p, -q)),
+                (q - p - q, sum_oracle(-p)),
+                (p - p, {}),
+                (-p, {e: -c for e, c in p.terms.items()}),
+                (p * q, product_oracle(p, q)),
+                (p * scalar, {e: c * scalar for e, c in p.terms.items() if scalar}),
+                (k * q, {e: c * k for e, c in q.terms.items() if k}),
+                (p * 0, {}),
+                (p ** 2, product_oracle(p, p)),
+                (q ** 0, {(0,) * 5: Fraction(1)}),
+            ]
+            for name in ("x", "a", "i"):
+                cases.append((p.derivative(name), derivative_oracle(p, name)))
+            for got, want in cases:
+                assert assert_primitive(got).terms == want
+            if q.is_zero():
+                continue
+            for dividend in (p * q, p + 1, p * q + 1):
+                got = dividend.try_div(q)
+                want = div_oracle(dividend, q)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert assert_primitive(got).terms == want
+            if q.degree_in("i") < 1:
+                assert (p * q).exact_div(q) == p
+
+    def test_equality_and_hash_follow_the_value(self):
+        x, y, i = sym("x"), sym("y"), sym("i")
+        built = (Fraction(2, 3) * x - 4) * (y + Fraction(1, 2)) + i
+        stored = MultiPoly(TABLE, dict(built.terms))
+        assert stored == built and hash(stored) == hash(built)
+        assert stored.ints == built.ints
+        assert (stored.cn, stored.cd) == (built.cn, built.cd) == (1, 3)
+        assert 3 * built != built and -built != built
+        assert len({built, stored, built + 0, 2 * built * Fraction(1, 2)}) == 1
+        assert MultiPoly(TABLE, {}) == const(0) == sym("x") - sym("x")
+        assert hash(MultiPoly(TABLE, {})) == hash(const(0))
+
+    def test_scalar_product_moves_only_the_content(self):
+        p = 6 * sym("x") ** 2 - 9 * sym("y")
+        assert p.ints == {(2, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): -3}
+        assert (p.cn, p.cd) == (3, 1)
+        q = p * Fraction(-5, 12)
+        assert q.ints == {e: -c for e, c in p.ints.items()}
+        assert (q.cn, q.cd) == (5, 4)
+
+    def test_gauss_lemma_fails_through_the_imaginary_unit(self):
+        i = sym("i")
+        two = (1 + i) * (1 - i)
+        assert_primitive(two)
+        assert two == const(2) and two.ints == {(0,) * 5: 1} and two.cn == 2
+        x = sym("x")
+        assert_primitive((x + x * i) * (x - x * i))
+
+    def test_try_div_over_the_integers(self):
+        x, y = sym("x"), sym("y")
+        # the leading coefficient 1 of x + 1 is not a multiple of 2
+        assert (x + 1).try_div(2 * x + 1) is None
+        assert (x * y + 1).try_div(2 * x + 1) is None
+        # the same divisor, over rational contents, divides exactly
+        half = x + Fraction(1, 2)
+        assert (half * (x + 3)).try_div(2 * x + 1) == Fraction(1, 2) * (x + 3)
+        assert (Fraction(4, 3) * half * (y - x)).exact_div(half) == Fraction(4, 3) * (y - x)
+
+    def test_try_div_by_a_divisor_holding_i_stays_exact(self):
+        # B = 2x + 1 + i and Q = 2x^2 + 1 + i are primitive, but B*Q has
+        # content 2: the primitive part of B*Q over B is Q/2, and its
+        # trial division meets the proper fraction 1/2 on the way
+        x, i = sym("x"), sym("i")
+        b = 2 * x + 1 + i
+        q = 2 * x ** 2 + 1 + i
+        product = b * q
+        assert product.cn == 2
+        assert product.try_div(b) == q
+        primitive = MultiPoly.from_ints(TABLE, dict(product.ints))
+        assert primitive.try_div(b) == Fraction(1, 2) * q
+        assert primitive.try_div(b).terms == div_oracle(primitive, b)
+        assert (x + i).try_div(2 * x + i) == div_oracle(x + i, 2 * x + i) is None
+
+    def test_mod_p_reads_the_content(self):
+        x, y = sym("x"), sym("y")
+        point = _points(TABLE.nvars)
+        assert _mod_p(y + Fraction(1, _P), point) is None
+        assert _mod_p(Fraction(1, 2 * _P) * x, point) is None
+        assert _mod_p(const(0), point) == 0
+        p = Fraction(7, 3) * x ** 2 - Fraction(5, 6) * y
+        want = p.evaluate({s: v for s, v in zip(TABLE.symbols, point)})
+        assert _mod_p(p, point) == want.numerator * pow(want.denominator, -1, _P) % _P
 
     def test_product_cancels_through_the_imaginary_unit(self):
         x, y, i = sym("x"), sym("y"), sym("i")
@@ -230,6 +391,43 @@ class TestPolyFraction:
                 dn = num.derivative(name).evaluate(point)
                 dd = den_poly.derivative(name).evaluate(point)
                 assert got.evaluate(point) == (dn * d - n * dd) / d ** 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_derivative_equals_a_full_build(self, seed):
+        # the derivative skips the atom test for atoms that hold the
+        # variable; a full build of the quotient rule tests every atom
+        rng = random.Random(seed)
+        seen = 0
+        while seen < 12:
+            mult = [rng.randint(0, 2) for _ in TABLE.atoms]
+            num = random_poly(rng, rng.randint(1, 3), 5)
+            num = num * MultiPoly.atom_product(TABLE, tuple(mult))
+            value = PolyFraction(num, tuple(rng.randint(0, 2) for _ in TABLE.atoms))
+            if not any(value.den):
+                continue
+            seen += 1
+            den_poly = MultiPoly.atom_product(TABLE, value.den)
+            for name in ("x", "y", "a"):
+                got = value.derivative(name)
+                full = PolyFraction(
+                    value.num.derivative(name) * den_poly
+                    - value.num * den_poly.derivative(name),
+                    tuple(2 * e for e in value.den),
+                )
+                assert got.den == full.den
+                assert got.num == full.num
+
+    def test_derivative_still_tests_atoms_free_of_the_variable(self):
+        x, y, a = sym("x"), sym("y"), sym("a")
+        # d/dy of (y(x-a) + 1)/(x-a) is 1: x-a divides the new numerator
+        value = PolyFraction(y * (x - a) + 1, (0, 1, 0))
+        assert value.den == (0, 1, 0)
+        assert value.derivative("y") == PolyFraction(const(1))
+        assert value.derivative("y").den == (0, 0, 0)
+        # d/dx of (a x + 1)/a is 1: a divides the new numerator
+        value = PolyFraction(a * x + 1, (1, 0, 0))
+        assert value.derivative("x").den == (0, 0, 0)
+        assert value.derivative("x") == PolyFraction(const(1))
 
     def test_substitute_keeps_atoms_invertible(self):
         x, a = sym("x"), sym("a")

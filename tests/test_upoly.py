@@ -7,6 +7,7 @@ tests need sympy; the rest run without it.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -125,7 +126,66 @@ class TestAgainstSympy:
             assert is_zero_expr(as_sympy_poly(got) - want)
 
 
+def reference_rational_roots(p):
+    """rational_roots as it was before the integer root test: every
+    candidate is tried by synthetic division in Fractions."""
+    p = upoly.trim(p)
+    roots = []
+    zeros = 0
+    while len(p) > 1 and p[0] == 0:
+        p = p[1:]
+        zeros += 1
+    if zeros:
+        roots.append((Fraction(0), zeros))
+    if len(p) > 1:
+        den = lcm(*(c.denominator for c in p))
+        ints = [int(c * den) for c in p]
+        g = gcd(*ints)
+        candidates = {
+            Fraction(s * num, d)
+            for num in upoly._divisors(ints[0] // g)
+            for d in upoly._divisors(ints[-1] // g)
+            for s in (1, -1)
+        }
+        for cand in sorted(candidates):
+            p, mult = upoly.divide_out(p, cand)
+            if mult:
+                roots.append((cand, mult))
+    return sorted(roots)
+
+
+# the sampled q5 structure-function quartics of the branch-root search
+Q5_QUARTICS = (
+    poly("-1445/324", "578/27", "98/3", "-8/3", -4),
+    poly("-15309/2500", "1458/125", 30, "-8/5", -4),
+    poly("-49005/9604", "-2178/343", "162/7", "8/7", -4),
+)
+
+
 class TestRoots:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_test_matches_the_reference(self, seed):
+        rng = random.Random("roots-%d" % seed)
+        for _ in range(30):
+            p = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))]
+            for _ in range(rng.randint(0, 3)):
+                root = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                for _ in range(rng.randint(1, 3)):
+                    p = upoly.mul(p, [-root, Fraction(1)])
+            if rng.random() < 0.5:
+                # an irreducible quadratic factor: no rational roots
+                p = upoly.mul(p, poly(rng.choice((1, 2, 3, 5)), 0, 1))
+            if rng.random() < 0.3:
+                p = upoly.mul(p, poly(-2, 0, 1))
+            assert upoly.rational_roots(p) == reference_rational_roots(p)
+
+    def test_q5_quartics(self):
+        for p in Q5_QUARTICS:
+            roots = upoly.rational_roots(p)
+            assert roots == reference_rational_roots(p)
+            assert len(roots) == 4 and all(m == 1 for _, m in roots)
+
+
     def test_rational_roots_with_multiplicity(self):
         # 2x^3 + x^2 - 2x - 1 has roots 1, -1, -1/2
         p = poly(-1, -2, 1, 2)
