@@ -141,10 +141,8 @@ class MultiPoly:
     def monomial(cls, table, exps, coeff=1):
         return cls._make(table, {tuple(int(e) for e in exps): Fraction(coeff)})
 
-    @staticmethod
-    @lru_cache(maxsize=1024)
-    def from_atom(table, atom_index):
-        """The denominator atom as a polynomial, cached per table."""
+    @classmethod
+    def from_atom(cls, table, atom_index):
         atom = table.atoms[atom_index]
         raw = {}
         zero = (0,) * table.nvars
@@ -154,7 +152,7 @@ class MultiPoly:
             raw[tuple(exps)] = Fraction(coeff)
         if atom.constant:
             raw[zero] = atom.constant
-        return MultiPoly._make(table, raw)
+        return cls._make(table, raw)
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -307,27 +305,12 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         table = self.table
+        if not self.ints or not other.ints:
+            return _new(table, {})
         cn, cd = _content_product(self.cn, self.cd, other.cn, other.cd)
         # Factors hold i to the power 0 or 1, so a product term holds at
         # most i^2 = -1, reduced as it comes.
         ii = table.imaginary_index
-        short, long = self.ints, other.ints
-        if len(short) > len(long):
-            short, long = long, short
-        if len(short) <= 1:
-            if not short:
-                return _new(table, {})
-            # A primitive monomial is +-1 times a power product: it
-            # shifts exponents one to one, so no two products meet.
-            ((e1, c1),) = short.items()
-            ints = {}
-            for e2, c2 in long.items():
-                exps = tuple(map(add, e1, e2))
-                if ii is not None and exps[ii] == 2:
-                    exps = exps[:ii] + (0,) + exps[ii + 1 :]
-                    c2 = -c2
-                ints[exps] = c2 if c1 == 1 else -c2
-            return _new(table, ints, cn, cd)
         acc = {}
         reduced = False
         right = other.ints.items()
@@ -392,7 +375,8 @@ class MultiPoly:
 
         Values need +, * and integer powers among themselves and with
         Fraction scalars.  With all-Fraction values the result is a
-        Fraction.
+        Fraction.  This reads the Fraction view: a value is usually
+        evaluated at many points, and the view is built once.
         """
         values = [None] * self.table.nvars
         for name, val in mapping.items():
@@ -423,6 +407,8 @@ class MultiPoly:
         if divisor is None or divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         table = self.table
+        if not self.ints:
+            return _new(table, {})
         ii = table.imaginary_index
         dints = divisor.ints
         exact = ii is not None and any(e[ii] for e in dints)

@@ -198,7 +198,7 @@ def _detect_grading(coeffs, param):
     # collect every symbol that shows up in any term
     names = set()
     for _, _, part in terms:
-        for exps in part.num.terms:
+        for exps in part.num.ints:
             for idx, e in enumerate(exps):
                 if e:
                     names.add(part.table.symbols[idx])

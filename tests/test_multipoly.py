@@ -220,7 +220,7 @@ class TestMultiPoly:
                 assert assert_primitive(got).terms == want
             if q.is_zero():
                 continue
-            for dividend in (p * q, p + 1, p * q + 1):
+            for dividend in (p * q, p + 1, p * q + 1, p * 0):
                 got = dividend.try_div(q)
                 want = div_oracle(dividend, q)
                 assert (got is None) == (want is None)
@@ -266,6 +266,14 @@ class TestMultiPoly:
         half = x + Fraction(1, 2)
         assert (half * (x + 3)).try_div(2 * x + 1) == Fraction(1, 2) * (x + 3)
         assert (Fraction(4, 3) * half * (y - x)).exact_div(half) == Fraction(4, 3) * (y - x)
+
+    def test_try_div_of_zero_is_the_canonical_zero(self):
+        x, y, i = sym("x"), sym("y"), sym("i")
+        zero = MultiPoly.zero(TABLE)
+        for divisor in (2 * x, Fraction(1, 3) * y, 3 * x + 6 * i, const(Fraction(5, 7))):
+            got = assert_primitive(zero.try_div(divisor))
+            assert got == zero and hash(got) == hash(zero)
+        assert const(0).exact_div(Fraction(1, 3) * y) == 0
 
     def test_try_div_by_a_divisor_holding_i_stays_exact(self):
         # B = 2x + 1 + i and Q = 2x^2 + 1 + i are primitive, but B*Q has
