@@ -421,8 +421,8 @@ def _monomials(point):
     The filter evaluates at few points: the fixed one, and one per atom
     with that atom's root in place of its leading symbol.  One q5
     derivation looks up 21,426 monomials at 4 points and finds 17,938
-    of them here, which saves about 50 ms against computing the powers
-    per call.
+    of them here; computing the powers per call instead makes the
+    filter about 2.5 times slower.
     """
     return {}
 
