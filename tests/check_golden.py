@@ -1,11 +1,12 @@
-"""Byte-compare four CLI outputs with their goldens, standard library only.
+"""Byte-compare five CLI outputs with their goldens, standard library only.
 
-Runs `derive --format csv`, `spectrum --p-max 50`, `numeric --grid 500`
-and `repcheck` through cli.main and compares their stdout with
-tests/golden/derive.csv, tests/golden/spectrum.json,
-tests/golden/numeric.json and tests/golden/repcheck.json.  The last pins
-the exact modules and their float gauges, which read the coefficients
-of the exact kernel.  It needs no test dependency, so it can run on any
+Runs `derive --format csv`, `spectrum --p-max 50`, `numeric --grid 500`,
+`repcheck` and `verify-q5` through cli.main and compares their stdout
+with tests/golden/derive.csv, tests/golden/spectrum.json,
+tests/golden/numeric.json, tests/golden/repcheck.json and
+tests/golden/verify-q5.json.  repcheck pins the exact modules and their
+float gauges, which read the coefficients of the exact kernel; verify-q5
+pins the text of all nine structure constants and of k.  It needs no test dependency, so it can run on any
 supported Python:
 
     PYTHONPATH=src python tests/check_golden.py
@@ -27,6 +28,7 @@ CASES = (
     (["spectrum", "--p-max", "50"], "spectrum.json"),
     (["numeric", "--grid", "500"], "numeric.json"),
     (["repcheck"], "repcheck.json"),
+    (["verify-q5"], "verify-q5.json"),
 )
 
 

@@ -516,6 +516,14 @@ def test_spectrum_stdout_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_verify_q5_stdout_matches_golden(capsys):
+    # the text of all nine structure constants and of k derived from
+    # the operator suite, pinned byte for byte
+    assert cli.main(["verify-q5"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "verify-q5.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_numeric_stdout_matches_golden(capsys):
     # the finite-difference levels and both calibrations at grid 500,
     # pinned byte for byte: a faster eigenvalue search must return the
