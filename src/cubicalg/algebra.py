@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import casimir, weylop
-from .errors import JacobiViolation
+from .errors import CubicalgError, JacobiViolation
 from .exactnum import MultiPoly, PolyFraction, SymbolTable, parse
 
 MASTER_SYMBOLS = ("E", "h", "a", "u", "p", "x")
@@ -99,8 +99,18 @@ def jacobi_reduce(values, table=None):
     return AlgebraSpec(table=table, **out)
 
 
+# weylop.build_suite writes g for -i*h
+_ROTATED = {"g": "h", "h": "g"}
+
+
 def transfer_scalar(value, target):
-    """Rebuild a PolyFraction in another table, matching symbol names."""
+    """Rebuild a PolyFraction in another table, matching symbol names.
+
+    A g or h that the target lacks becomes the other: g^e maps to
+    (-1)^(e/2) h^e and back, and an odd power raises CubicalgError, so
+    a value crosses between the suite table and the master table only
+    when it is real.
+    """
     source = value.table
     raw = {}
     for exps, coeff in value.num.terms.items():
@@ -109,10 +119,18 @@ def transfer_scalar(value, target):
             if e == 0:
                 continue
             name = source.symbols[idx]
+            if name in _ROTATED and name not in target.symbols:
+                if e % 2:
+                    raise CubicalgError(
+                        "%s^%d has no real image in %r" % (name, e, target)
+                    )
+                if e % 4:
+                    coeff = -coeff
+                name = _ROTATED[name]
             new_exps[target.index(name)] = e
         key = tuple(new_exps)
         raw[key] = raw.get(key, Fraction(0)) + coeff
-    num = MultiPoly._make(target, raw)
+    num = MultiPoly(target, raw)
     den = [0] * len(target.atoms)
     for k, e in enumerate(value.den):
         if e == 0:

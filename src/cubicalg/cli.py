@@ -289,11 +289,15 @@ def _catalog(cfg, sf):
     branches, families, pinned = spectrum.energy_families(sf.phi)
     rows = []
     for fam in families:
-        verdicts = {
-            str(p): spectrum.unitarity_verdict(fam, p).unitary
-            for p in range(1, cfg.p_max + 1)
-        }
         decision = spectrum.unitarity_decision(fam)
+        p_values = range(1, cfg.p_max + 1)
+        if decision.undecided is None:
+            # the decision holds for every p >= 1, so no level is swept
+            verdicts = {str(p): (p in decision.exceptions) != decision.eventual
+                        for p in p_values}
+        else:
+            verdicts = {str(p): spectrum.unitarity_verdict(fam, p).unitary
+                        for p in p_values}
         roots = [r.format() for r in fam.roots]
         row = {
             "u_branch": branches[fam.start].root.format(),

@@ -17,9 +17,7 @@ other row decides consistency.  An entry's residue is that of its
 integer primitive part times its content, so only the content's
 denominator can be divisible by P.  A singular residue matrix proves
 nothing (the point may be a root of the minor), nor does an entry whose
-content's denominator P divides or that holds the imaginary symbol,
-which evaluation does not respect; those systems are eliminated in
-full.
+content's denominator P divides; those systems are eliminated in full.
 """
 
 from __future__ import annotations
@@ -91,14 +89,11 @@ def _independent_rows(rows):
     """
     table = rows[0][0].table
     ncols = len(rows[0])
-    ii = table.imaginary_index
     point = _points(table.nvars)
     residues = []
     for row in rows:
         values = []
         for entry in row:
-            if ii is not None and any(exps[ii] for exps in entry.ints):
-                return None
             value = _mod_p(entry, point)
             if value is None:
                 return None

@@ -10,20 +10,16 @@ stands.
 
 By Gauss's lemma a product of primitive polynomials is primitive, so a
 product multiplies the contents, convolves the integers and takes no
-gcd.  The lemma fails once the imaginary symbol's square is reduced to
--1, since (1 + i)(1 - i) = 2: a product that makes such a reduction takes
-the gcd again.  A scalar product only rescales the content.  A sum
-brings the contents to one denominator and takes one gcd of the summed
-integers.  Trial division divides primitive parts over the integers;
-for a divisor free of i a quotient coefficient that is not an integer
-proves, by the same lemma, that the divisor does not divide.
+gcd.  A scalar product only rescales the content.  A sum brings the
+contents to one denominator and takes one gcd of the summed integers.
+Trial division divides primitive parts over the integers; a quotient
+coefficient that is not an integer proves, by the same lemma, that the
+divisor does not divide.
 
-When the table marks a symbol as imaginary its square reduces eagerly
-to -1, so stored exponents of that symbol are always 0 or 1.  Term
-order everywhere is graded lexicographic with earlier table symbols
-more significant.  `terms` is a read-only {exponents: Fraction} view,
-built once per value, for printing, evaluation and tests; no arithmetic
-reads it.
+Term order everywhere is graded lexicographic with earlier table
+symbols more significant.  `terms` is a read-only {exponents: Fraction}
+view, built once per value, for printing, evaluation and tests; no
+arithmetic reads it.
 """
 
 from __future__ import annotations
@@ -86,8 +82,7 @@ class MultiPoly:
     def __init__(self, table, terms):
         """The polynomial with rational coefficients {exponents: value}.
 
-        The exponents must already be reduced (i to the power 0 or 1);
-        arithmetic builds its results in primitive form directly.
+        Arithmetic builds its results in primitive form directly.
         """
         terms = {e: Fraction(c) for e, c in terms.items() if c}
         den = lcm(*(c.denominator for c in terms.values()))
@@ -99,23 +94,6 @@ class MultiPoly:
         self.cn = made.cn
         self.cd = made.cd
         self._terms = None
-
-    @classmethod
-    def _make(cls, table, raw):
-        """Reduce imaginary powers, drop zero coefficients."""
-        ii = table.imaginary_index
-        terms = {}
-        for exps, coeff in raw.items():
-            if not coeff:
-                continue
-            if ii is not None and exps[ii] >= 2:
-                q, r = divmod(exps[ii], 2)
-                if q % 2:
-                    coeff = -coeff
-                exps = exps[:ii] + (r,) + exps[ii + 1 :]
-            old = terms.get(exps)
-            terms[exps] = coeff if old is None else old + coeff
-        return cls(table, terms)
 
     from_ints = staticmethod(_primitive)
 
@@ -139,20 +117,17 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, table, exps, coeff=1):
-        return cls._make(table, {tuple(int(e) for e in exps): Fraction(coeff)})
+        return cls(table, {tuple(int(e) for e in exps): coeff})
 
     @classmethod
     def from_atom(cls, table, atom_index):
+        # monic with integer coefficients, so already primitive
         atom = table.atoms[atom_index]
-        raw = {}
         zero = (0,) * table.nvars
-        for idx, coeff in atom.terms:
-            exps = list(zero)
-            exps[idx] = 1
-            raw[tuple(exps)] = Fraction(coeff)
+        ints = {zero[:j] + (1,) + zero[j + 1 :]: c for j, c in atom.terms}
         if atom.constant:
-            raw[zero] = atom.constant
-        return cls._make(table, raw)
+            ints[zero] = atom.constant
+        return _new(table, ints)
 
     @staticmethod
     @lru_cache(maxsize=1024)
@@ -307,28 +282,20 @@ class MultiPoly:
         table = self.table
         if not self.ints or not other.ints:
             return _new(table, {})
-        cn, cd = _content_product(self.cn, self.cd, other.cn, other.cd)
-        # Factors hold i to the power 0 or 1, so a product term holds at
-        # most i^2 = -1, reduced as it comes.
-        ii = table.imaginary_index
         acc = {}
-        reduced = False
         right = other.ints.items()
         for e1, c1 in self.ints.items():
             for e2, c2 in right:
                 exps = tuple(map(add, e1, e2))
-                coeff = c1 * c2
-                if ii is not None and exps[ii] == 2:
-                    exps = exps[:ii] + (0,) + exps[ii + 1 :]
-                    coeff = -coeff
-                    reduced = True
                 if exps in acc:
-                    acc[exps] += coeff
+                    acc[exps] += c1 * c2
                 else:
-                    acc[exps] = coeff
-        if reduced:
-            return _primitive(table, acc, cn, cd)
-        return _new(table, {e: c for e, c in acc.items() if c}, cn, cd)
+                    acc[exps] = c1 * c2
+        return _new(
+            table,
+            {e: c for e, c in acc.items() if c},
+            *_content_product(self.cn, self.cd, other.cn, other.cd),
+        )
 
     __rmul__ = __mul__
 
@@ -399,9 +366,7 @@ class MultiPoly:
         """Exact quotient self / divisor, or None when not divisible.
 
         Divides the integers by the divisor's integers, leading term
-        first.  When the divisor holds i, a quotient coefficient may be
-        a proper fraction ((1 + i)(1 - i)/2 = 1): the remainder and the
-        quotient are then scaled to keep the integers exact.
+        first; the quotient of primitive parts is primitive (Gauss).
         """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
@@ -409,14 +374,11 @@ class MultiPoly:
         table = self.table
         if not self.ints:
             return _new(table, {})
-        ii = table.imaginary_index
         dints = divisor.ints
-        exact = ii is not None and any(e[ii] for e in dints)
         lt_exps = max(dints, key=term_key)
         lt_coeff = dints[lt_exps]
         rem = dict(self.ints)
         quot = {}
-        scale = 1
         while rem:
             exps = max(rem, key=term_key)
             q_exps = tuple(a - b for a, b in zip(exps, lt_exps))
@@ -424,32 +386,19 @@ class MultiPoly:
                 return None
             q_coeff, r = divmod(rem[exps], lt_coeff)
             if r:
-                if not exact:
-                    return None
-                m = lt_coeff // gcd(rem[exps], lt_coeff)
-                if m < 0:
-                    m = -m
-                rem = {e: c * m for e, c in rem.items()}
-                quot = {e: c * m for e, c in quot.items()}
-                scale *= m
-                q_coeff = rem[exps] // lt_coeff
+                return None
             quot[q_exps] = q_coeff
             for e, c in dints.items():
                 e = tuple(map(add, e, q_exps))
-                c *= q_coeff
-                if ii is not None and e[ii] == 2:
-                    e = e[:ii] + (0,) + e[ii + 1 :]
-                    c = -c
-                nc = rem.get(e, 0) - c
+                nc = rem.get(e, 0) - c * q_coeff
                 if nc:
                     rem[e] = nc
                 else:
                     rem.pop(e, None)
-        cn, cd = _content_product(self.cn, self.cd, divisor.cd, divisor.cn)
-        if scale == 1 and not exact:
-            # the quotient of primitive parts is primitive (Gauss)
-            return _new(table, quot, cn, cd)
-        return _primitive(table, quot, cn, cd * scale)
+        return _new(
+            table, quot,
+            *_content_product(self.cn, self.cd, divisor.cd, divisor.cn),
+        )
 
     def exact_div(self, divisor):
         out = self.try_div(divisor)

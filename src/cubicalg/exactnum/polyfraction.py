@@ -23,11 +23,7 @@ divide, so a zero polynomial num(-L) has residue 0: a nonzero residue
 proves that the atom does not divide num.  A zero residue proves
 nothing and synthetic division decides.  The integers reduce mod P as
 they stand; only the content's denominator can be divisible by P, and
-then the filter is skipped.  The imaginary symbol counts as a free
-variable in both steps, which is exact because stored terms hold it to
-the power 0 or 1 and L does not involve it.  An atom that involves it,
-or that has a coefficient which is not an integer, falls back to
-MultiPoly.try_div.
+then the filter is skipped.
 """
 
 from __future__ import annotations
@@ -245,8 +241,7 @@ class PolyFraction:
             bumped = list(self.den)
             bumped[k] += 1
             pairs.append((self.num * (-e * slope), tuple(bumped)))
-            if all(j != table.imaginary_index for j, _ in atom.terms):
-                coprime.append(k)
+            coprime.append(k)
         return PolyFraction.sum(table, pairs, coprime)
 
     def substitute(self, mapping):
@@ -430,18 +425,13 @@ def _monomials(point):
 def _residue(num, s, root):
     """num at s := root and symbol j := _point(j) otherwise, mod _P.
 
-    root lists (symbol index, coefficient) pairs, None standing for the
-    constant term.  Returns 0 when some denominator is divisible by _P,
-    where the residue is undefined and the filter must not reject.
+    root is an atom's root: (symbol index, integer) pairs, None standing
+    for the constant term.  Returns 0 when num's content denominator is
+    divisible by _P, where the residue is undefined and the filter must
+    not reject.
     """
     point = list(_points(num.table.nvars))
-    value = 0
-    for j, c in root:
-        if c.denominator % _P == 0:
-            return 0
-        term = c.numerator * pow(c.denominator, -1, _P)
-        value += term if j is None else term * point[j]
-    point[s] = value % _P
+    point[s] = sum(c if j is None else c * point[j] for j, c in root) % _P
     return _mod_p(num, tuple(point)) or 0
 
 
@@ -456,30 +446,10 @@ def _descending(num, ints):
     )
 
 
-def _integer_root(table, k):
-    """(s, root) for atom_k = s + L, root listing -L as (symbol index,
-    integer) pairs, None standing for the constant term; None when the
-    atom involves the imaginary symbol or a coefficient that is not an
-    integer."""
-    atom = table.atoms[k]
-    ii = table.imaginary_index
-    if atom.constant.denominator != 1 or any(
-        j == ii or c.denominator != 1 for j, c in atom.terms
-    ):
-        return None
-    root = [(j, -c.numerator) for j, c in atom.terms[1:]]
-    if atom.constant:
-        root.append((None, -atom.constant.numerator))
-    return atom.terms[0][0], root
-
-
 def _div_atom(num, k):
     """Exact quotient num / atom_k, or None when the atom does not divide num."""
-    table = num.table
-    found = _integer_root(table, k)
-    if found is None:
-        return num.try_div(MultiPoly.from_atom(table, k))
-    s, root = found
+    atom = num.table.atoms[k]
+    s, root = atom.lead, atom.root
     ints = num.ints
     if not root:
         if any(exps[s] == 0 for exps in ints):

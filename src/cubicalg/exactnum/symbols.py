@@ -1,9 +1,9 @@
 """Symbol tables shared by the exact arithmetic types.
 
-A table fixes an ordered set of scalar symbols, optionally marks one of
-them as an imaginary unit, and declares which linear forms may appear in
-denominators.  Every polynomial and fraction carries a reference to its
-table, and mixing values from different tables raises immediately.
+A table fixes an ordered set of scalar symbols and declares which
+linear forms with integer coefficients may appear in denominators.
+Every polynomial and fraction carries a reference to its table, and
+mixing values from different tables raises immediately.
 """
 
 from __future__ import annotations
@@ -16,23 +16,35 @@ from .errors import SymbolTableMismatch
 class Atom:
     """Linear form allowed as a denominator factor.
 
-    Atoms are monic in their leading (lowest index) symbol, so x - a and
-    x + a qualify while 2*x - a does not.  A bare symbol is the
-    degenerate single term case.
+    Atoms have integer coefficients and are monic in their leading
+    (lowest index) symbol, so x - a and x + a qualify while 2*x - a and
+    x - a/2 do not.  A bare symbol is the degenerate single term case.
+    An atom s + L stores its leading symbol index as `lead` and the
+    root -L as `root`, a list of (symbol index, integer) pairs with None
+    standing for the constant term.
     """
 
-    __slots__ = ("name", "terms", "constant")
+    __slots__ = ("name", "terms", "constant", "lead", "root")
 
     def __init__(self, name, terms, constant=0):
         self.name = str(name)
-        self.terms = tuple(sorted((int(i), Fraction(c)) for i, c in terms))
-        self.constant = Fraction(constant)
+        terms = tuple(terms)
+        if any(Fraction(c).denominator != 1
+               for c in [c for _, c in terms] + [constant]):
+            raise ValueError("atom %r has a coefficient that is not an integer"
+                             % name)
+        self.terms = tuple(sorted((int(i), int(c)) for i, c in terms))
+        self.constant = int(constant)
         if not self.terms:
             raise ValueError("atom needs at least one symbol")
         if self.terms[0][1] != 1:
             raise ValueError("atom %r must be monic in its leading symbol" % name)
         if any(c == 0 for _, c in self.terms):
             raise ValueError("atom %r has a zero coefficient" % name)
+        self.lead = self.terms[0][0]
+        self.root = [(j, -c) for j, c in self.terms[1:]]
+        if self.constant:
+            self.root.append((None, -self.constant))
 
     def key(self):
         return (self.terms, self.constant)
@@ -44,15 +56,11 @@ class Atom:
 class SymbolTable:
     """Ordered scalar symbols plus the denominator atoms built on them."""
 
-    def __init__(self, symbols, imaginary=None, atoms=()):
+    def __init__(self, symbols, atoms=()):
         self.symbols = tuple(str(s) for s in symbols)
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbol name")
         self._index = {s: i for i, s in enumerate(self.symbols)}
-        if imaginary is None:
-            self.imaginary_index = None
-        else:
-            self.imaginary_index = self._index[imaginary]
         built = []
         for atomspec in atoms:
             if isinstance(atomspec, str):
@@ -66,11 +74,7 @@ class SymbolTable:
         names = [a.name for a in self.atoms]
         if len(set(names)) != len(names):
             raise ValueError("duplicate atom name")
-        self._key = (
-            self.symbols,
-            self.imaginary_index,
-            tuple(a.key() for a in self.atoms),
-        )
+        self._key = (self.symbols, tuple(a.key() for a in self.atoms))
         self._hash = hash(self._key)
 
     @property

@@ -183,8 +183,7 @@ class DiffOp:
 
 def q5_symbol_table():
     return SymbolTable(
-        ("x", "y", "h", "a", "i"),
-        imaginary="i",
+        ("x", "y", "g", "a"),
         atoms=("a", ("x-a", {"x": 1, "a": -1}), ("x+a", {"x": 1, "a": 1})),
     )
 
@@ -211,22 +210,28 @@ def _scalar(table, text):
 def build_suite():
     """Construct H, A, B and C = [A, B], verified exactly.
 
+    The suite is written over the real symbol g = -i*h, so the momenta
+    are p = g d and h^2 = -g^2, and every coefficient is rational.  This
+    is exact, not an approximation: every structure constant and the
+    Casimir value is even in h, and algebra.transfer_scalar, which maps
+    g^e to (-1)^(e/2) h^e, raises on an odd power.
+
     The third-order integral involves the angular momentum, whose overall
     sign convention is fixed by requiring [H, B] = 0; both signs are
     tried and the surviving one is recorded.
     """
     table = q5_symbol_table()
-    px = DiffOp(table, {(1, 0): parse("-1*i*h", table)})
-    py = DiffOp(table, {(0, 1): parse("-1*i*h", table)})
+    px = DiffOp(table, {(1, 0): parse("g", table)})
+    py = DiffOp(table, {(0, 1): parse("g", table)})
     half = Fraction(1, 2)
     walls = "1/(x-a)^2 + 1/(x+a)^2"
     hamiltonian = (
         half * (px * px + py * py)
-        + _scalar(table, "h^2*((x^2+y^2)/(4*a^4)/2 + %s)" % walls)
+        + _scalar(table, "-g^2*((x^2+y^2)/(4*a^4)/2 + %s)" % walls)
     )
     first = (
         half * (px * px - py * py)
-        + _scalar(table, "h^2*((x^2-y^2)/(4*a^4)/2 + %s)" % walls)
+        + _scalar(table, "-g^2*((x^2-y^2)/(4*a^4)/2 + %s)" % walls)
     )
     if not comm(hamiltonian, first).is_zero():
         raise AssertionError("first integral fails to commute")
@@ -240,7 +245,7 @@ def build_suite():
     )
     x_op = _scalar(table, "x")
     y_op = _scalar(table, "y")
-    h2 = parse("h^2", table)
+    h2 = parse("-g^2", table)
     last_error = None
     for sign in (1, -1):
         angular = sign * (x_op * py - y_op * px)
@@ -272,9 +277,10 @@ def express_in_basis(target, basis):
     """Write target as a scalar combination of basis operators.
 
     basis is a list of (label, DiffOp).  Returns {label: PolyFraction}
-    with coefficients free of the coordinate symbols.  Raises NotInSpan
-    when no combination matches and AmbiguousBasis when more than one
-    does.
+    with coefficients free of the coordinate symbols, the first two of
+    the table; every other symbol stays in the coefficients.  Raises
+    NotInSpan when no combination matches and AmbiguousBasis when more
+    than one does.
     """
     table = target.table
     keys = set(target.parts)
@@ -286,11 +292,6 @@ def express_in_basis(target, basis):
     # shape -> one cell per column: the {scalar exponents: integer} of
     # one lifted numerator, with that numerator's content
     rows = {}
-    x_idx, y_idx = table.index(table.symbols[0]), table.index(table.symbols[1])
-    i_idx = table.imaginary_index
-    h_idx = table.index("h")
-    a_idx = table.index("a")
-    blank = [0] * table.nvars
     for key in sorted(keys):
         cells = [op.parts.get(key, zero_pf) for _, op in basis]
         cells.append(target.parts.get(key, zero_pf))
@@ -302,11 +303,8 @@ def express_in_basis(target, basis):
                     table, tuple(m - e for m, e in zip(lcm, pf.den))
                 )
             for exps, coeff in poly.ints.items():
-                shape = (key, exps[x_idx], exps[y_idx], exps[i_idx])
-                scalar_exps = list(blank)
-                scalar_exps[h_idx] = exps[h_idx]
-                scalar_exps[a_idx] = exps[a_idx]
-                scalar_exps = tuple(scalar_exps)
+                shape = (key, exps[0], exps[1])
+                scalar_exps = (0, 0) + exps[2:]
                 row = rows.get(shape)
                 if row is None:
                     row = rows[shape] = [None] * ncols

@@ -297,20 +297,21 @@ def test_criterion_10_numeric_cross_validation():
     harmonic = schrodinger.harmonic_ground(4000)
     assert abs(harmonic - 0.25) < 1e-4
 
+    # the suite's table writes g = -i*h, so h^2 is -g^2 there
     suite = weylop.suite()
     table = suite.table
 
     def exact(text):
         return parse(text, table)
 
-    v_x = suite.hamiltonian.parts[(0, 0)] - exact("h^2*y^2/(8*a^4)")
-    v_osc = exact("h^2*x^2/(8*a^4)")
+    v_x = suite.hamiltonian.parts[(0, 0)] - exact("-g^2*y^2/(8*a^4)")
+    v_osc = exact("-g^2*x^2/(8*a^4)")
     w = exact("1/(x-a) + 1/(x+a) - x/(2*a^2)")
     dw = w.derivative("x")
-    psi_2_rung = exact("5*h^2/(4*a^2)")
-    h_omega = exact("h^2/(2*a^2)")
-    assert (v_osc - exact("h^2/2") * (dw + w * w) - psi_2_rung).is_zero()
-    assert (v_osc - exact("h^2") * dw - h_omega - v_x).is_zero()
+    psi_2_rung = exact("-5*g^2/(4*a^2)")
+    h_omega = exact("-g^2/(2*a^2)")
+    assert (v_osc - exact("-g^2/2") * (dw + w * w) - psi_2_rung).is_zero()
+    assert (v_osc - exact("-g^2") * dw - h_omega - v_x).is_zero()
 
     # at h = a = 1: h*omega = 1/2 and the psi_2 rung is 5/4
     oscillator = schrodinger.y_potential

@@ -13,7 +13,7 @@ from cubicalg.algebra import (
     scalar_to_operator,
     transfer_scalar,
 )
-from cubicalg.errors import JacobiViolation
+from cubicalg.errors import CubicalgError, JacobiViolation
 from cubicalg.exactnum import PolyFraction, parse
 
 
@@ -113,11 +113,22 @@ def test_transfer_scalar_roundtrip():
     assert back == value
 
 
+def test_transfer_scalar_rejects_an_odd_power_of_g():
+    # the suite writes g = -i*h, so an odd power of g is imaginary
+    suite_table = weylop.suite().table
+    with pytest.raises(CubicalgError):
+        transfer_scalar(parse("g^2 + g^3/a", suite_table), master_table())
+    with pytest.raises(CubicalgError):
+        transfer_scalar(parse("h", master_table()), suite_table)
+    assert transfer_scalar(parse("g^2 - g^4/a", suite_table),
+                           master_table()) == expect("-h^2 - h^4/a")
+
+
 def test_scalar_to_operator_maps_energy_to_hamiltonian():
     master = master_table()
     suite = weylop.suite()
     op = scalar_to_operator(parse("E^2 - 2*h^2*E", master), suite)
     h = suite.hamiltonian
     two = PolyFraction.const(suite.table, 2)
-    hh = parse("h^2", suite.table)
+    hh = parse("-g^2", suite.table)
     assert op == h * h + (-two) * (hh * h)

@@ -76,7 +76,7 @@ def test_denominator_divisible_by_p_skips_the_filter():
     table = TABLES["q5"]
     x, y, a = (MultiPoly.sym(table, n) for n in ("x", "y", "a"))
     k = table.atom_index("x-a")
-    x_at_a = [(table.index("a"), Fraction(1))]
+    x_at_a = table.atoms[k].root
     coprime = y + Fraction(1, 3)
     tiny = y + Fraction(1, _P)
     assert _residue(x * coprime, table.index("x"), x_at_a) != 0
@@ -94,18 +94,19 @@ def test_synthetic_division_decides_when_the_residue_vanishes():
     k = table.atom_index("x-a")
     # at x := a this is y - c, zero at the filter's point y = c only
     num = (x - a) * y + y - _point(table.index("y"))
-    assert _residue(num, table.index("x"), [(table.index("a"), Fraction(1))]) == 0
+    assert _residue(num, table.index("x"), table.atoms[k].root) == 0
     assert _div_atom(num, k) is None
     value = assert_matches_oracle(num, (0, 1, 0))
     assert value.den == (0, 1, 0)
 
 
-def test_atom_involving_the_imaginary_symbol_falls_back():
-    table = SymbolTable(("x", "i"), imaginary="i", atoms=(("x+i", {"x": 1, "i": 1}),))
-    x, i = MultiPoly.sym(table, "x"), MultiPoly.sym(table, "i")
-    value = assert_matches_oracle(x * x + 1, (2,))
-    assert value.num == x - i and value.den == (1,)
-    assert_matches_oracle(x * x + x, (1,))
+def test_atom_with_a_coefficient_that_is_not_an_integer_is_refused():
+    for atom in (("x-a/2", {"x": 1, "a": Fraction(-1, 2)}),
+                 ("x+1/3", {"x": 1}, Fraction(1, 3))):
+        with pytest.raises(ValueError):
+            SymbolTable(("x", "a"), atoms=(atom,))
+    table = SymbolTable(("x", "a"), atoms=(("x-2a", {"x": 1, "a": Fraction(-2)}),))
+    assert table.atoms[0].root == [(1, 2)]
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))

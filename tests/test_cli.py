@@ -557,6 +557,27 @@ def test_for_all_p_decision_does_not_depend_on_p_max(tmp_path, p_max):
     assert all(len(fam["verdicts"]) == p_max for fam in doc["families"])
 
 
+def test_spectrum_sweeps_do_not_grow_with_p_max(tmp_path, monkeypatch):
+    # a decided family's verdicts are read off its for-all-p decision,
+    # so the integer sign sweeps are those of the decision alone
+    calls = []
+    sweep = spectrum._sign_verdict
+
+    def counted(form, p):
+        calls.append(p)
+        return sweep(form, p)
+
+    monkeypatch.setattr(spectrum, "_sign_verdict", counted)
+    counts = []
+    for p_max in (50, 2000):
+        calls.clear()
+        code, doc = run_json(["spectrum", "--p-max", str(p_max)], tmp_path)
+        assert code == 0
+        assert all(len(fam["verdicts"]) == p_max for fam in doc["families"])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_undecided_family_is_reported_with_its_reason(tmp_path, monkeypatch):
     # a root of slope 2 in p is outside the decided class: the family
     # keeps its per-p verdicts but gets no verdict for all p

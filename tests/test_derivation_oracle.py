@@ -46,14 +46,18 @@ class Oracle:
         self.zero = (XY(0), XY(0), 0)
 
     def coeff(self, poly):
-        """A MultiPoly at the fixed h, a, as (re, im) over Q[x, y]."""
+        """A MultiPoly at the fixed h, a, as (re, im) over Q[x, y].
+
+        The suite writes g = -i h, so g^n contributes (-i h)^n.
+        """
         table = poly.table
-        ix, iy, ih, ia = (table.index(n) for n in "xyha")
+        ix, iy, ig, ia = (table.index(n) for n in "xyga")
         parts = [XY(0), XY(0)]
         for exps, c in poly.terms.items():
-            value = q(c) * self.h ** exps[ih] * self.a ** exps[ia]
-            parts[exps[table.imaginary_index]] += (
-                value * X ** exps[ix] * Y ** exps[iy])
+            value = q(c) * self.h ** exps[ig] * self.a ** exps[ia]
+            # (-i)^n for n = 0, 1, 2, 3 mod 4: 1, -i, -1, i
+            sign, part = ((1, 0), (-1, 1), (-1, 0), (1, 1))[exps[ig] % 4]
+            parts[part] += sign * value * X ** exps[ix] * Y ** exps[iy]
         return parts
 
     def operator(self, op):

@@ -117,15 +117,6 @@ class TestSquareSubsystem:
         with pytest.raises(RankDeficientSystem):
             solve_exact(rows, [s, const(1), t])
 
-    def test_imaginary_entry_falls_back(self):
-        # evaluating i at an integer does not respect i^2 = -1
-        table = SymbolTable(("s", "i"), imaginary="i")
-        s, i = MultiPoly.sym(table, "s"), MultiPoly.sym(table, "i")
-        rows = [[i * s], [s]]
-        assert linsolve._independent_rows(rows) is None
-        (num, den), = solve_exact(rows, [i * s * s, s * s])
-        assert num * (1 / den.as_fraction()) == s
-
     def test_denominator_divisible_by_p_falls_back(self):
         s = sym("s")
         tiny = const(Fraction(1, _P))

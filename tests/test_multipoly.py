@@ -17,8 +17,7 @@ from cubicalg.exactnum import (
 from cubicalg.exactnum.polyfraction import _P, _mod_p, _points
 
 TABLE = SymbolTable(
-    ("x", "y", "h", "a", "i"),
-    imaginary="i",
+    ("x", "y", "h", "a", "g"),
     atoms=("a", ("x-a", {"x": 1, "a": -1}), ("x+a", {"x": 1, "a": 1})),
 )
 
@@ -32,29 +31,23 @@ def const(q):
 
 
 def random_poly(rng, nterms, den_bound):
-    """Random polynomial with i to the power 0 or 1 and coefficients
-    of up to 40 digits over denominators up to den_bound."""
+    """Random polynomial with coefficients of up to 40 digits over
+    denominators up to den_bound."""
     terms = {}
     for _ in range(nterms):
-        exps = tuple(rng.randint(0, 3) for _ in range(4)) + (rng.randint(0, 1),)
+        exps = tuple(rng.randint(0, 3) for _ in range(5))
         num = rng.randint(-10 ** 40, 10 ** 40) or 1
         terms[exps] = Fraction(num, rng.randint(1, den_bound))
     return MultiPoly(TABLE, terms)
 
 
 def product_oracle(p, q):
-    """Per-term Fraction products, with i*i reduced to -1."""
-    ii = TABLE.imaginary_index
+    """Per-term Fraction products."""
     terms = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
-            exps = [a + b for a, b in zip(e1, e2)]
-            coeff = c1 * c2
-            if exps[ii] == 2:
-                exps[ii] = 0
-                coeff = -coeff
-            exps = tuple(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
     return {e: c for e, c in terms.items() if c != 0}
 
 
@@ -129,13 +122,6 @@ class TestMultiPoly:
         assert (x + 1) ** 3 == x ** 3 + 3 * x ** 2 + 3 * x + 1
         assert (p - p).is_zero()
 
-    def test_imaginary_unit_reduces(self):
-        i = sym("i")
-        assert i * i == const(-1)
-        assert i ** 3 == -i
-        assert i ** 4 == const(1)
-        assert (1 + i) * (1 - i) == const(2)
-
     def test_rational_coefficients(self):
         x = sym("x")
         p = Fraction(1, 2) * x + Fraction(1, 3)
@@ -151,16 +137,10 @@ class TestMultiPoly:
         with pytest.raises(ExactDivisionError):
             (x ** 2 + 1).exact_div(x + 1)
 
-    def test_division_with_imaginary_coefficients(self):
-        x, i = sym("x"), sym("i")
-        p = (x + i) * (x - i)
-        assert p == x ** 2 + 1
-        assert p.exact_div(x + i) == x - i
-
     def test_evaluate(self):
         x, y = sym("x"), sym("y")
         p = x ** 2 * y + 3 * x
-        got = p.evaluate({"x": Fraction(2), "y": Fraction(1, 2), "h": 0, "a": 0, "i": 0})
+        got = p.evaluate({"x": Fraction(2), "y": Fraction(1, 2), "h": 0, "a": 0, "g": 0})
         assert got == Fraction(8)
 
     def test_derivative(self):
@@ -214,7 +194,7 @@ class TestMultiPoly:
                 (p ** 2, product_oracle(p, p)),
                 (q ** 0, {(0,) * 5: Fraction(1)}),
             ]
-            for name in ("x", "a", "i"):
+            for name in ("x", "a", "g"):
                 cases.append((p.derivative(name), derivative_oracle(p, name)))
             for got, want in cases:
                 assert assert_primitive(got).terms == want
@@ -226,12 +206,11 @@ class TestMultiPoly:
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert assert_primitive(got).terms == want
-            if q.degree_in("i") < 1:
-                assert (p * q).exact_div(q) == p
+            assert (p * q).exact_div(q) == p
 
     def test_equality_and_hash_follow_the_value(self):
-        x, y, i = sym("x"), sym("y"), sym("i")
-        built = (Fraction(2, 3) * x - 4) * (y + Fraction(1, 2)) + i
+        x, y, g = sym("x"), sym("y"), sym("g")
+        built = (Fraction(2, 3) * x - 4) * (y + Fraction(1, 2)) + g
         stored = MultiPoly(TABLE, dict(built.terms))
         assert stored == built and hash(stored) == hash(built)
         assert stored.ints == built.ints
@@ -249,14 +228,6 @@ class TestMultiPoly:
         assert q.ints == {e: -c for e, c in p.ints.items()}
         assert (q.cn, q.cd) == (5, 4)
 
-    def test_gauss_lemma_fails_through_the_imaginary_unit(self):
-        i = sym("i")
-        two = (1 + i) * (1 - i)
-        assert_primitive(two)
-        assert two == const(2) and two.ints == {(0,) * 5: 1} and two.cn == 2
-        x = sym("x")
-        assert_primitive((x + x * i) * (x - x * i))
-
     def test_try_div_over_the_integers(self):
         x, y = sym("x"), sym("y")
         # the leading coefficient 1 of x + 1 is not a multiple of 2
@@ -268,27 +239,27 @@ class TestMultiPoly:
         assert (Fraction(4, 3) * half * (y - x)).exact_div(half) == Fraction(4, 3) * (y - x)
 
     def test_try_div_of_zero_is_the_canonical_zero(self):
-        x, y, i = sym("x"), sym("y"), sym("i")
+        x, y, g = sym("x"), sym("y"), sym("g")
         zero = MultiPoly.zero(TABLE)
-        for divisor in (2 * x, Fraction(1, 3) * y, 3 * x + 6 * i, const(Fraction(5, 7))):
+        for divisor in (2 * x, Fraction(1, 3) * y, 3 * x + 6 * g, const(Fraction(5, 7))):
             got = assert_primitive(zero.try_div(divisor))
             assert got == zero and hash(got) == hash(zero)
         assert const(0).exact_div(Fraction(1, 3) * y) == 0
 
-    def test_try_div_by_a_divisor_holding_i_stays_exact(self):
-        # B = 2x + 1 + i and Q = 2x^2 + 1 + i are primitive, but B*Q has
-        # content 2: the primitive part of B*Q over B is Q/2, and its
-        # trial division meets the proper fraction 1/2 on the way
-        x, i = sym("x"), sym("i")
-        b = 2 * x + 1 + i
-        q = 2 * x ** 2 + 1 + i
+    def test_try_div_by_a_non_monic_divisor_stays_exact(self):
+        # B = 2x + 1 + g and Q = 2x^2 + 1 + g are primitive, so by Gauss's
+        # lemma B*Q is too: its trial division by B meets no proper
+        # fraction, and the quotient takes its content from the contents
+        x, g = sym("x"), sym("g")
+        b = Fraction(1, 3) * (2 * x + 1 + g)
+        q = Fraction(5, 2) * (2 * x ** 2 + 1 + g)
         product = b * q
-        assert product.cn == 2
+        assert (product.cn, product.cd) == (5, 6)
         assert product.try_div(b) == q
+        assert product.try_div(b).terms == div_oracle(product, b)
         primitive = MultiPoly.from_ints(TABLE, dict(product.ints))
-        assert primitive.try_div(b) == Fraction(1, 2) * q
-        assert primitive.try_div(b).terms == div_oracle(primitive, b)
-        assert (x + i).try_div(2 * x + i) == div_oracle(x + i, 2 * x + i) is None
+        assert primitive.try_div(b) == Fraction(6, 5) * q
+        assert (x + g).try_div(2 * x + g) == div_oracle(x + g, 2 * x + g) is None
 
     def test_mod_p_reads_the_content(self):
         x, y = sym("x"), sym("y")
@@ -299,15 +270,6 @@ class TestMultiPoly:
         p = Fraction(7, 3) * x ** 2 - Fraction(5, 6) * y
         want = p.evaluate({s: v for s, v in zip(TABLE.symbols, point)})
         assert _mod_p(p, point) == want.numerator * pow(want.denominator, -1, _P) % _P
-
-    def test_product_cancels_through_the_imaginary_unit(self):
-        x, y, i = sym("x"), sym("y"), sym("i")
-        half = Fraction(1, 2)
-        p = half * x + Fraction(1, 3) * i * y
-        q = 2 * x - 6 * i * y
-        assert (p * q).terms == product_oracle(p, q)
-        assert p * q == x ** 2 + 2 * y ** 2 - 3 * i * x * y + Fraction(2, 3) * i * x * y
-        assert (i * x) * (i * x) == -(x ** 2)
 
     def test_contents(self):
         x, y = sym("x"), sym("y")
@@ -348,7 +310,7 @@ class TestPolyFraction:
     def test_evaluate_and_pole(self):
         x, a = sym("x"), sym("a")
         v = PolyFraction(x, (0, 1, 0))
-        point = {"x": Fraction(3), "y": 0, "h": 1, "a": Fraction(1), "i": 0}
+        point = {"x": Fraction(3), "y": 0, "h": 1, "a": Fraction(1), "g": 0}
         assert v.evaluate(point) == Fraction(3, 2)
         with pytest.raises(PoleError):
             v.evaluate({**point, "x": Fraction(1)})
@@ -393,7 +355,7 @@ class TestPolyFraction:
                 got = value.derivative(name)
                 assert got == PolyFraction(got.num, got.den)
                 point = {s: Fraction(rng.randint(2, 9), rng.randint(1, 3))
-                         for s in ("x", "y", "h", "i")}
+                         for s in ("x", "y", "h", "g")}
                 point["a"] = point["x"] + 5
                 n, d = num.evaluate(point), den_poly.evaluate(point)
                 dn = num.derivative(name).evaluate(point)

@@ -167,9 +167,11 @@ def test_potential_matches_exact_operator_suite():
     kin_x = suite.hamiltonian.parts[(2, 0)]
     kin_y = suite.hamiltonian.parts[(0, 2)]
     for x, y in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(7, 2), Fraction(-1, 4))):
-        values = {"x": x, "y": y, "h": 1, "a": 1, "i": 0}
+        # the suite writes g = -i*h; here h = 1
+        values = {"x": x, "y": y, "g": -1j, "a": 1}
         want = sch.potential(float(x), float(y))
-        assert abs(float(scalar.evaluate(values)) - want) < 1e-12
+        got = scalar.evaluate(values)
+        assert got.imag == 0 and abs(got.real - want) < 1e-12
         assert kin_x.evaluate(values) == Fraction(-1, 2)
         assert kin_y.evaluate(values) == Fraction(-1, 2)
 

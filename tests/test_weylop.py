@@ -114,7 +114,7 @@ def leibniz_oracle(left, right):
 def random_coefficient(rng, table):
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        exps = tuple(rng.randint(0, 2) for _ in range(4)) + (rng.randint(0, 1),)
+        exps = tuple(rng.randint(0, 2) for _ in range(table.nvars))
         terms[exps] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
     den = tuple(rng.randint(0, 2) for _ in range(len(table.atoms)))
     return PolyFraction(MultiPoly(table, terms), den)
@@ -160,7 +160,7 @@ def test_express_recovers_a_known_combination(suite, seed):
         if rng.random() < 0.2:
             coeffs[label] = PolyFraction.const(table, 0)
             continue
-        text = "%d/%d*h^%d*a^%d/a^%d" % (
+        text = "%d/%d*g^%d*a^%d/a^%d" % (
             rng.randint(-9, 9) or 1, rng.randint(1, 9),
             rng.randint(0, 4), rng.randint(0, 2), rng.randint(0, 4),
         )
