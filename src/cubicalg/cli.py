@@ -19,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -194,11 +194,11 @@ def _inline_algebra(cfg):
     return spec, k
 
 
-def _resolve_algebra(cfg):
+def _structure_function(cfg):
+    """Phi and its realization: the cached q5 one, or the inline one."""
     if cfg.preset == "q5":
-        derived = algebra.q5_algebra()
-        return derived.spec, derived.k
-    return _inline_algebra(cfg)
+        return spectrum.q5_structure_function()
+    return ladder.derive_structure_function(*_inline_algebra(cfg))
 
 
 def _float_energy(energy, cfg, p):
@@ -217,31 +217,25 @@ def _energy_entry(energy, cfg, samples=(0, 1, 2)):
 
 
 def run_verify(cfg):
-    suite = weylop.suite()
-    checks = []
-    for label, op in (
-        ("[H,A]", weylop.comm(suite.hamiltonian, suite.first_integral)),
-        ("[H,B]", weylop.comm(suite.hamiltonian, suite.second_integral)),
-        ("[H,[A,B]]", weylop.comm(suite.hamiltonian, suite.commutator)),
-    ):
-        checks.append({"check": "%s = 0" % label, "ok": op.is_zero()})
+    # build_suite proves each identity once and raises NotConserved when
+    # one fails, so the suite holds every identity it names
+    checks = [{"check": "%s = 0" % label, "ok": True}
+              for label in weylop.suite().identities]
     derived = algebra.q5_algebra()
     constants = {
         name: value.format() for name, value in derived.spec.as_dict().items()
     }
-    doc = {
+    return {
         "checks": checks,
         "structure_constants": constants,
         "casimir_value": derived.k.format(),
-        "passed": all(c["ok"] for c in checks),
+        "passed": True,
     }
-    return doc
 
 
 def run_derive(cfg):
-    spec, k = _resolve_algebra(cfg)
-    real = ladder.derive_realization(spec)
-    sf = ladder.derive_structure_function(spec, k)
+    sf = _structure_function(cfg)
+    real = sf.realization
     coeffs = [c.format() for c in sf.phi.coefficients()]
     phi = {"degree": sf.phi.degree(), "coefficients": coeffs}
     try:
@@ -272,8 +266,7 @@ def run_derive(cfg):
                 "derived": phi["lead"],
                 "reference": REFERENCE_PHI_LEAD,
             })
-        table = spec.table
-        want = parse(REFERENCE_PHI_CONSTANT, table)
+        want = parse(REFERENCE_PHI_CONSTANT, sf.spec.table)
         got = sf.phi.coefficients()[0]
         if got != want:
             deltas.append({
@@ -290,14 +283,8 @@ def _catalog(cfg, sf):
     rows = []
     for fam in families:
         decision = spectrum.unitarity_decision(fam)
-        p_values = range(1, cfg.p_max + 1)
-        if decision.undecided is None:
-            # the decision holds for every p >= 1, so no level is swept
-            verdicts = {str(p): (p in decision.exceptions) != decision.eventual
-                        for p in p_values}
-        else:
-            verdicts = {str(p): spectrum.unitarity_verdict(fam, p).unitary
-                        for p in p_values}
+        verdicts = {str(p): spectrum.unitarity_verdict(fam, p).unitary
+                    for p in range(1, cfg.p_max + 1)}
         roots = [r.format() for r in fam.roots]
         row = {
             "u_branch": branches[fam.start].root.format(),
@@ -305,14 +292,12 @@ def _catalog(cfg, sf):
             "phi": {"lead": fam.lead.format(), "roots": roots},
             "lowest_weight": fam.lowest.format(),
             "verdicts": verdicts,
+            # both None, with the reason below, for an undecided family
+            "unitary_for_all_p": decision.eventual and not decision.exceptions,
+            "exceptions": (None if decision.exceptions is None
+                           else list(decision.exceptions)),
         }
-        if decision.undecided is None:
-            row["unitary_for_all_p"] = (decision.eventual
-                                        and not decision.exceptions)
-            row["exceptions"] = list(decision.exceptions)
-        else:
-            row["unitary_for_all_p"] = None
-            row["exceptions"] = None
+        if decision.undecided is not None:
             row["undecided"] = decision.undecided
         rows.append(row)
     pins = [
@@ -342,22 +327,13 @@ def _catalog(cfg, sf):
 
 
 def run_spectrum(cfg):
-    spec, k = _resolve_algebra(cfg)
-    sf = _structure_function(cfg, spec, k)
-    return _catalog(cfg, sf)
-
-
-def _structure_function(cfg, spec, k):
-    if cfg.preset == "q5":
-        return spectrum.q5_structure_function()
-    return ladder.derive_structure_function(spec, k)
+    return _catalog(cfg, _structure_function(cfg))
 
 
 def run_repcheck(cfg):
     if cfg.preset != "q5":
         raise ConfigError("repcheck needs the q5 preset")
     sf = spectrum.q5_structure_function()
-    derived = algebra.q5_algebra()
     branches, families, _ = spectrum.energy_families(sf.phi)
     rows = []
     ok = True
@@ -365,9 +341,7 @@ def run_repcheck(cfg):
         label = branches[fam.start].root.format()
         for p in range(0, min(cfg.p_max, 8) + 1):
             module, values = repcheck.q5_module(fam, p, h=1, a=cfg.a)
-            residuals = repcheck.relation_residuals(
-                module, derived.spec, values
-            )
+            residuals = repcheck.relation_residuals(module, sf.spec, values)
             for relation in ("linear", "closure", "central"):
                 worst = residuals[relation].max_abs()
                 ok = ok and worst == 0
@@ -381,7 +355,7 @@ def run_repcheck(cfg):
             if spectrum.unitarity_verdict(fam, p).unitary:
                 try:
                     worst = repcheck.symmetric_gauge_residual(
-                        module, derived.spec, values
+                        module, sf.spec, values
                     )
                 except OverflowError:
                     worst = math.inf
@@ -453,19 +427,8 @@ def run_compare(cfg, numeric=None):
         numeric = run_numeric(cfg)
     preds = _predictions(cfg)
     report = schrodinger.compare(preds, numeric["levels"], cfg.tol)
-    rows = [
-        {
-            "label": r.label,
-            "energy": r.energy,
-            "nearest": r.nearest,
-            "deviation": r.deviation,
-            "matched": r.matched,
-            "note": r.note,
-        }
-        for r in report.rows
-    ]
     return {
-        "comparison": rows,
+        "comparison": [asdict(r) for r in report.rows],
         "unmatched_numeric": list(report.unmatched),
         "passed": report.passed and numeric["passed"],
     }

@@ -31,6 +31,10 @@ class UndecidedSign(CubicalgError, ValueError):
     """Positivity of the symbols does not fix a sign that a verdict needs."""
 
 
+class NotConserved(CubicalgError):
+    """An operator of the suite fails to commute with the Hamiltonian."""
+
+
 class NotInSpan(CubicalgError):
     """An operator cannot be written over the requested basis."""
 

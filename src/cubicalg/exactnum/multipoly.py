@@ -69,6 +69,12 @@ def _primitive(table, raw, cn=1, cd=1):
     return _new(table, ints, cn, cd)
 
 
+def _check_exponents(table, terms):
+    if any(len(exps) != table.nvars for exps in terms):
+        raise ValueError("exponent tuples need one entry for each of the "
+                         "%d symbols of %r" % (table.nvars, table))
+
+
 def _content_product(cn1, cd1, cn2, cd2):
     """(cn1/cd1) * (cn2/cd2) as a reduced pair, both factors reduced."""
     g1 = gcd(cn1, cd2)
@@ -84,6 +90,7 @@ class MultiPoly:
 
         Arithmetic builds its results in primitive form directly.
         """
+        _check_exponents(table, terms)
         terms = {e: Fraction(c) for e, c in terms.items() if c}
         den = lcm(*(c.denominator for c in terms.values()))
         made = _primitive(table, {
@@ -95,7 +102,11 @@ class MultiPoly:
         self.cd = made.cd
         self._terms = None
 
-    from_ints = staticmethod(_primitive)
+    @staticmethod
+    def from_ints(table, raw, cn=1, cd=1):
+        """_primitive, with the exponent tuples of raw checked."""
+        _check_exponents(table, raw)
+        return _primitive(table, raw, cn, cd)
 
     @classmethod
     def zero(cls, table):

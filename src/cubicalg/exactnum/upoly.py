@@ -95,7 +95,7 @@ def shift(p, s):
 def _divisors(n):
     n = abs(n)
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in small]
+    return small + [n // d for d in small if d * d != n]
 
 
 def _vanishes(ints, n, d):
@@ -112,8 +112,9 @@ def _vanishes(ints, n, d):
 def rational_roots(p):
     """All rational roots with multiplicity, ascending; Fraction p only.
 
-    Every candidate n/d of the rational root theorem is tested over the
-    integers first; only the roots are divided out.
+    Every candidate n/d of the rational root theorem, in lowest terms,
+    is tested over the integers first; only the roots become Fractions
+    and are divided out.
     """
     p = trim(p)
     roots = []
@@ -128,14 +129,10 @@ def rational_roots(p):
         ints = [int(c * den) for c in p]
         g = gcd(*ints)
         ints = [c // g for c in ints]
-        candidates = {
-            Fraction(s * num, d)
-            for num in _divisors(ints[0])
-            for d in _divisors(ints[-1])
-            for s in (1, -1)
-        }
-        for cand in sorted(candidates):
-            if _vanishes(ints, cand.numerator, cand.denominator):
-                p, mult = divide_out(p, cand)
-                roots.append((cand, mult))
+        for num in _divisors(ints[0]):
+            for d in _divisors(ints[-1]):
+                for n in (num, -num):
+                    if gcd(num, d) == 1 and _vanishes(ints, n, d):
+                        p, mult = divide_out(p, Fraction(n, d))
+                        roots.append((Fraction(n, d), mult))
     return sorted(roots)

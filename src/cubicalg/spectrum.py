@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from . import algebra, ladder
 from .errors import SingularSystem, UndecidedSign, UnresolvedFactor
@@ -78,6 +79,17 @@ class Family:
             roots.append((c0.numerator, c0.denominator, int(c1)))
         return SignForm(lead_sign, tuple(roots))
 
+    @cached_property
+    def verdict_table(self):
+        """The Verdicts at p = 0 .. 2M + 3 (see unitarity_decision), or
+        None when the family has no sign form."""
+        form = self.sign_form
+        if form.undecided is not None:
+            return None
+        bound = max((math.ceil(Fraction(abs(num), den))
+                     for num, den, _ in form.roots), default=0)
+        return tuple(_sign_verdict(form, p) for p in range(2 * bound + 4))
+
 
 @dataclass(frozen=True)
 class SignForm:
@@ -129,8 +141,7 @@ class FamilyInstance:
     values: tuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Unitarity of one family instance; Phi must be positive inside."""
 
     p: int
@@ -506,17 +517,24 @@ def _sign_verdict(form, p):
 def unitarity_verdict(family, p_value):
     """Whether Phi stays positive at the interior levels 1 .. p.
 
-    A family with a sign form (see unitarity_decision) is decided by
-    integer sign tests; any other is evaluated level by level through
+    A family with a sign form reads p off its verdict_table (see
+    unitarity_decision); any other is evaluated level by level through
     family_instance, and raises UndecidedSign at a level whose sign
     positivity does not fix.
     """
     p_value = int(p_value)
     if p_value < 0:
         raise ValueError("p must be a nonnegative integer")
-    form = family.sign_form
-    if form.undecided is None:
-        return _sign_verdict(form, p_value)
+    table = family.verdict_table
+    if table is not None:
+        last = len(table) - 1
+        if p_value <= last:
+            return table[p_value]
+        _, unitary, x = table[last]
+        if x is not None and x > len(table) // 2:
+            x += p_value - last
+        # skips the Python-level Verdict.__new__ on this per-p path
+        return tuple.__new__(Verdict, (p_value, unitary, x))
     instance = family_instance(family, p_value)
     for x in range(1, instance.p + 1):
         sign = instance.values[x].sign_for_positive_symbols()
@@ -546,25 +564,19 @@ def unitarity_decision(family):
     least one), constant roots give x - c0 >= 1 and shifted roots
     x - p - c0 <= -1, so the sign is sign(lead) * (-1)^(number of
     shifted roots).  The set of signs over x = 1..p, hence the
-    verdict, is therefore the same for every p >= 2M + 2.  The
-    verdicts at p = 1..2M+3 are computed, the one at 2M + 3 is the
-    eventual verdict, and the exceptions are the p before it that
+    verdict, is the same for every p >= 2M + 2; a first failure at
+    x <= M + 2 stays at x, and one above keeps y = p - x.  So the
+    verdict_table holds p = 0..2M+3, its last entry gives the eventual
+    verdict and every larger p, and the exceptions are the p >= 1 that
     differ.  A family without that form (an unsplit residual factor, a
     root not of the form c0 + c1*p with rational c0 and c1 in {0, 1},
     or a lead whose sign positivity does not fix) is undecided.
     """
-    form = family.sign_form
-    if form.undecided is not None:
-        return Decision(None, None, form.undecided)
-    bound = max(
-        (math.ceil(Fraction(abs(num), den)) for num, den, _ in form.roots),
-        default=0,
-    )
-    last = 2 * bound + 3
-    eventual = _sign_verdict(form, last).unitary
-    exceptions = tuple(
-        p for p in range(1, last) if _sign_verdict(form, p).unitary != eventual
-    )
+    table = family.verdict_table
+    if table is None:
+        return Decision(None, None, family.sign_form.undecided)
+    eventual = table[-1].unitary
+    exceptions = tuple(v.p for v in table[1:-1] if v.unitary != eventual)
     return Decision(eventual, exceptions)
 
 

@@ -15,7 +15,7 @@ from math import comb
 from operator import add
 
 from .casimir import acomm, comm
-from .errors import AmbiguousBasis, NotInSpan
+from .errors import AmbiguousBasis, NotConserved, NotInSpan
 from .exactnum import (
     InconsistentSystem,
     MultiPoly,
@@ -190,7 +190,8 @@ def q5_symbol_table():
 
 @dataclass
 class OperatorSuite:
-    """The conserved operator set of the two-wall system."""
+    """The conserved operator set of the two-wall system; identities
+    names the commutators with H that build_suite proved zero."""
 
     table: SymbolTable
     hamiltonian: DiffOp
@@ -198,6 +199,7 @@ class OperatorSuite:
     second_integral: DiffOp
     commutator: DiffOp
     angular_sign: int
+    identities: tuple = ("[H,A]", "[H,B]", "[H,[A,B]]")
 
 
 _SUITE = None
@@ -218,7 +220,8 @@ def build_suite():
 
     The third-order integral involves the angular momentum, whose overall
     sign convention is fixed by requiring [H, B] = 0; both signs are
-    tried and the surviving one is recorded.
+    tried and the surviving one is recorded.  Raises NotConserved when
+    an identity fails.
     """
     table = q5_symbol_table()
     px = DiffOp(table, {(1, 0): parse("g", table)})
@@ -234,7 +237,7 @@ def build_suite():
         + _scalar(table, "-g^2*((x^2-y^2)/(4*a^4)/2 + %s)" % walls)
     )
     if not comm(hamiltonian, first).is_zero():
-        raise AssertionError("first integral fails to commute")
+        raise NotConserved("first integral fails to commute")
     f_y = _scalar(
         table,
         "y*((4*a^2-x^2)/(4*a^4) - 6*(x^2+a^2)/(x^2-a^2)^2)",
@@ -246,7 +249,6 @@ def build_suite():
     x_op = _scalar(table, "x")
     y_op = _scalar(table, "y")
     h2 = parse("-g^2", table)
-    last_error = None
     for sign in (1, -1):
         angular = sign * (x_op * py - y_op * px)
         second = (
@@ -257,12 +259,10 @@ def build_suite():
         if comm(hamiltonian, second).is_zero():
             c_op = comm(first, second)
             if not comm(hamiltonian, c_op).is_zero():
-                raise AssertionError("commutator of integrals is not conserved")
+                raise NotConserved("commutator of integrals is not conserved")
             return OperatorSuite(table, hamiltonian, first, second, c_op, sign)
-        last_error = sign
-    raise AssertionError(
+    raise NotConserved(
         "second integral fails to commute for both angular momentum signs"
-        " (last tried %s)" % last_error
     )
 
 

@@ -1,17 +1,21 @@
-"""Byte-compare five CLI outputs with their goldens, standard library only.
+"""Byte-compare six CLI outputs with their goldens, standard library only.
 
 Runs `derive --format csv`, `spectrum --p-max 50`, `numeric --grid 500`,
-`repcheck` and `verify-q5` through cli.main and compares their stdout
-with tests/golden/derive.csv, tests/golden/spectrum.json,
-tests/golden/numeric.json, tests/golden/repcheck.json and
-tests/golden/verify-q5.json.  repcheck pins the exact modules and their
+`repcheck`, `verify-q5` and `compare --grid 500` through cli.main and
+compares their stdout and exit code with tests/golden/derive.csv,
+tests/golden/spectrum.json, tests/golden/numeric.json,
+tests/golden/repcheck.json, tests/golden/verify-q5.json and
+tests/golden/compare.json.  repcheck pins the exact modules and their
 float gauges, which read the coefficients of the exact kernel; verify-q5
-pins the text of all nine structure constants and of k.  It needs no test dependency, so it can run on any
+pins the text of all nine structure constants and of k; compare pins
+the per-p unitarity verdicts behind the predicted ladder and exits 1,
+because the criterion-10 gap between that ladder and the confined
+levels is reported.  It needs no test dependency, so it can run on any
 supported Python:
 
     PYTHONPATH=src python tests/check_golden.py
 
-Exits 1 when an output differs from its golden.
+Exits 1 when an output or an exit code differs from its golden.
 """
 
 import contextlib
@@ -23,22 +27,25 @@ from cubicalg import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# (argv, golden file, expected exit code)
 CASES = (
-    (["derive", "--format", "csv"], "derive.csv"),
-    (["spectrum", "--p-max", "50"], "spectrum.json"),
-    (["numeric", "--grid", "500"], "numeric.json"),
-    (["repcheck"], "repcheck.json"),
-    (["verify-q5"], "verify-q5.json"),
+    (["derive", "--format", "csv"], "derive.csv", 0),
+    (["spectrum", "--p-max", "50"], "spectrum.json", 0),
+    (["numeric", "--grid", "500"], "numeric.json", 0),
+    (["repcheck"], "repcheck.json", 0),
+    (["verify-q5"], "verify-q5.json", 0),
+    (["compare", "--grid", "500"], "compare.json", 1),
 )
 
 
 def main():
     failed = 0
-    for argv, name in CASES:
+    for argv, name, expected in CASES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
-        same = code == 0 and out.getvalue().encode() == (GOLDEN / name).read_bytes()
+        same = (code == expected
+                and out.getvalue().encode() == (GOLDEN / name).read_bytes())
         print("%s %s: %s" % (" ".join(argv), name, "ok" if same else "DIFFERS"))
         failed += not same
     return 1 if failed else 0

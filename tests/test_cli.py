@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cubicalg import algebra, cli, repcheck, schrodinger, spectrum
+from cubicalg import algebra, cli, repcheck, schrodinger, spectrum, weylop
 from cubicalg.exactnum import NFunc, PolyFraction, parse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -576,6 +576,69 @@ def test_spectrum_sweeps_do_not_grow_with_p_max(tmp_path, monkeypatch):
         assert all(len(fam["verdicts"]) == p_max for fam in doc["families"])
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_compare_sweeps_do_not_grow_with_p_max(tmp_path, monkeypatch):
+    # the predictions ask for a verdict at every p; a decided family
+    # answers each from its verdict table, so the integer sign sweeps
+    # are those of the table alone
+    calls = []
+    sweep = spectrum._sign_verdict
+
+    def counted(form, p):
+        calls.append(p)
+        return sweep(form, p)
+
+    monkeypatch.setattr(spectrum, "_sign_verdict", counted)
+    counts = []
+    for p_max in (50, 2000):
+        calls.clear()
+        code, doc = run_json(["compare", "--p-max", str(p_max), "--grid",
+                              "400", "--cutoff", "3.0"], tmp_path)
+        assert code == 1
+        assert doc["comparison"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_compare_stdout_matches_golden(capsys):
+    # the predicted ladder against the confined levels at grid 500; the
+    # exit code is 1 because the criterion-10 gap is reported, not hidden
+    assert cli.main(["compare", "--grid", "500"]) == 1
+    golden = Path(__file__).resolve().parent / "golden" / "compare.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_verify_q5_reports_the_identities_of_the_suite(monkeypatch, capsys):
+    # build_suite proves [H,A], [H,B] and [H,[A,B]] zero; verify-q5
+    # reports them without computing any commutator again
+    weylop.suite()
+    algebra.q5_algebra()
+
+    def refused(*args):
+        raise AssertionError("a commutator was computed again")
+
+    monkeypatch.setattr(weylop, "comm", refused)
+    assert cli.main(["verify-q5"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "verify-q5.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_verify_q5_reports_a_failing_identity_in_one_line(monkeypatch,
+                                                         capsys):
+    # a suite whose first integral does not commute with H: verify-q5
+    # says so on one stderr line and exits 1, with no traceback
+    def nonzero(left, right):
+        return weylop.DiffOp.from_scalar(left.table, 1)
+
+    monkeypatch.setattr(weylop, "_SUITE", None)
+    monkeypatch.setattr(weylop, "comm", nonzero)
+    assert cli.main(["verify-q5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verify-q5: NotConserved: first integral fails to commute\n"
+    )
 
 
 def test_undecided_family_is_reported_with_its_reason(tmp_path, monkeypatch):

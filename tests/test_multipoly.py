@@ -271,6 +271,17 @@ class TestMultiPoly:
         want = p.evaluate({s: v for s, v in zip(TABLE.symbols, point)})
         assert _mod_p(p, point) == want.numerator * pow(want.denominator, -1, _P) % _P
 
+    @pytest.mark.parametrize("exps", [(1, 0, 0, 0), (1, 0, 0, 0, 0, 0)])
+    def test_constructors_refuse_exponents_of_the_wrong_length(self, exps):
+        # a tuple that does not have one entry per symbol is refused at
+        # construction, not met later as an IndexError inside arithmetic
+        with pytest.raises(ValueError, match="5 symbols"):
+            MultiPoly(TABLE, {exps: 1})
+        with pytest.raises(ValueError, match="5 symbols"):
+            MultiPoly.from_ints(TABLE, {(0,) * 5: 1, exps: 2}, 1, 3)
+        with pytest.raises(ValueError):
+            MultiPoly.monomial(TABLE, exps)
+
     def test_contents(self):
         x, y = sym("x"), sym("y")
         p = 4 * x ** 2 * y + 6 * x * y

@@ -323,6 +323,25 @@ def test_sign_test_and_decision_match_horner(lead_sign, roots):
     )
 
 
+def test_verdicts_past_the_table_match_full_sweeps():
+    # past p = 2M + 3 a verdict is read off the table's last entry; a
+    # full sweep of the levels at each p is the oracle, failure level
+    # included, for rational c0 with small denominators
+    rng = random.Random(15)
+    for _ in range(150):
+        roots = []
+        for _ in range(rng.randint(1, 5)):
+            den = rng.randint(1, 3)
+            roots.append("%d/%d + %d*p" % (rng.randint(-14 * den, 14 * den),
+                                          den, rng.randint(0, 1)))
+        family = made_family(rng.choice(("4*h^2/a", "-4*h^2/a")), roots)
+        table = family.verdict_table
+        last = len(table) - 1
+        for p in range(last + 1, last + 25):
+            assert spectrum.unitarity_verdict(family, p) == \
+                spectrum._sign_verdict(family.sign_form, p)
+
+
 @pytest.mark.parametrize("lead, roots, residual, reason", [
     # residual x^2 + 1, by its coefficients
     ("-4*h^2", ("0", "p + 1"), ("1", "0", "1"), "unsplit factor of degree 2"),
