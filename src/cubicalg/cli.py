@@ -37,6 +37,11 @@ REFERENCE_PHI_CONSTANT = (
 )
 REFERENCE_FAMILY_ROOTS = (("p + 2", "p - 2"),)
 
+# spectrum, compare and all take time and memory linear in p_max: at
+# 10**5 the slowest, all, takes about 9 s; at 10**8 spectrum runs out
+# of memory.
+MAX_P_MAX = 10 ** 5
+
 
 class ConfigError(CubicalgError):
     pass
@@ -60,6 +65,10 @@ class RunConfig:
             raise ConfigError("exactly one of preset or inline constants")
         if self.p_max < 0:
             raise ConfigError("p_max must be nonnegative")
+        if self.p_max > MAX_P_MAX:
+            raise ConfigError(
+                "p_max must be at most %d, got %d" % (MAX_P_MAX, self.p_max)
+            )
         if self.preset is not None and self.preset != "q5":
             raise ConfigError("unknown preset %r" % self.preset)
         if self.a <= 0:

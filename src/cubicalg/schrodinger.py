@@ -4,17 +4,23 @@ The planar potential separates: a harmonic slice in y and a walled
 slice in x whose inverse-square barriers at x = +-a are impenetrable,
 so the x problem splits into three independent Dirichlet wells and the
 outer two are mirror images.  Planar levels are sums of one x level
-and one y level.  Eigenvalues of the three-point discretization come
-from Sturm counting and bisection: every level of a matrix bisects
-from the same Gershgorin interval, and the levels share the Sturm
-count of each midpoint they have in common, so each level is the same
-float as an independent bisection for it alone.  Richardson
-extrapolation removes the leading step-size error.  Everything here is
-plain floating point; the exact modules never depend on it.
+and one y level.  Each eigenvalue of the three-point discretization is
+the float that bisection from the Gershgorin interval to width tol
+gives for it alone, with a Sturm count at each midpoint.  That float
+Sturm count is monotone in the shift (Kahan 1966; Demmel, Dhillon and
+Ren 1995), so a point swept once decides every midpoint on its side,
+for every level of the matrix.  The solver replays each level's
+bisection against the points swept so far and sweeps only the
+midpoints no known point decides; Newton steps on det(T - lam) put
+known points tightly around each isolated level first, so the replay
+needs few sweeps of its own.  Richardson extrapolation removes the
+leading step-size error.  Everything here is plain floating point; the
+exact modules never depend on it.
 """
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
@@ -152,30 +158,119 @@ def _gershgorin(t: TridiagMatrix):
     return lo, hi
 
 
-def _eigenvalues(t: TridiagMatrix, tol: float):
-    """Eigenvalues of t, lowest first, each bisected to width tol from
-    the Gershgorin interval.
+def _sturm_newton(diag, off, lam):
+    """sturm_count(diag, off, lam), by the very same float operations,
+    together with p'/p for p(lam) = det(T - lam).
 
-    Every level bisects from the same interval, so levels that share a
-    midpoint share its Sturm count: one sweep per distinct midpoint.
-    Level k is the same float as an independent bisection for k alone.
+    p is the product of the pivots q_i, so p'/p = sum q_i'/q_i, where
+    q_i' = t w_{i-1} - 1 with t = e_{i-1}^2 / q_{i-1} and w = q'/q.
+    """
+    count = 0
+    q = 1.0
+    w = 0.0
+    total = 0.0
+    for d, e in zip(diag, (0.0, *off)):
+        t = e * e / q
+        q = d - lam - t
+        if q < 1e-300:
+            if q > -1e-300:
+                q = -1e-300
+            count += 1
+        w = (t * w - 1.0) / q
+        total += w
+    return count, total
+
+
+def _newton_bracket(diag, off, k, lam, left, right, tol, record):
+    """Shrink (left, right), which holds level k alone, by Newton steps
+    on det(T - lam) from lam; a step that leaves the bracket bisects it.
+
+    Every sweep is recorded and moves one end of the bracket.  A step
+    under tol / 2 places the root as closely as rounding lets Newton,
+    so the next point is aimed past it instead, tol / 4 at first and
+    twice as far on each further try, to close the bracket from the
+    other side.  Returns once the bracket is under tol / 2 wide.
+    """
+    reach = tol / 4
+    for _ in range(16):
+        count, ratio = _sturm_newton(diag, off, lam)
+        record(lam, count)
+        if count > k:
+            right = lam
+        else:
+            left = lam
+        if right - left <= tol / 2:
+            break
+        step = -1.0 / ratio if ratio else 0.0
+        if abs(step) <= tol / 2:
+            toward = 1.0 if count <= k else -1.0
+            step = toward * (abs(step) + reach)
+            reach *= 2
+        lam += step
+        if not left < lam < right:
+            lam = 0.5 * (left + right)
+            if not left < lam < right:
+                break
+    return left, right
+
+
+def _eigenvalues(t: TridiagMatrix, tol: float):
+    """Eigenvalues of t, lowest first, each the float that bisection
+    from the Gershgorin interval to width tol gives for it alone.
+
+    The float Sturm count is monotone in lam (Kahan 1966; Demmel,
+    Dhillon and Ren, ETNA 3 (1995) 116), so one swept point decides
+    every midpoint on its side: a midpoint at or below a point whose
+    count is at most k, or at or above one whose count exceeds k, takes
+    that side without a sweep.  The swept points of all levels are
+    kept in one sorted list.  Level k replays its bisection midpoint
+    by midpoint and sweeps only those strictly inside the tightest
+    such bracket.  Once that bracket holds level k alone, Newton steps
+    narrow it below tol / 2, so the rest of the replay sweeps little.
+    A level never isolated, an exact or sub-tol degeneracy, falls
+    through to plain bisection.
     """
     lo, hi = _gershgorin(t)
     diag, off = t.diagonal, t.offdiagonal
-    counts = {}
+    swept, counts = [], []
+
+    def record(lam, count):
+        i = bisect_left(swept, lam)
+        swept.insert(i, lam)
+        counts.insert(i, count)
+
     for k in range(t.size):
+        # the last point with count <= k and the first with count > k
+        i = bisect_right(counts, k)
+        left, left_count = (
+            (swept[i - 1], counts[i - 1]) if i else (-math.inf, -1)
+        )
+        right, right_count = (
+            (swept[i], counts[i]) if i < len(swept) else (math.inf, -1)
+        )
+        polished = False
         a, b = lo, hi
         for _ in range(128):
             if b - a <= tol:
                 break
             mid = 0.5 * (a + b)
-            below = counts.get(mid)
-            if below is None:
-                below = counts[mid] = sturm_count(diag, off, mid)
-            if below > k:
-                b = mid
-            else:
+            if left < mid < right:
+                if not polished and left_count == k and right_count == k + 1:
+                    polished = True
+                    left, right = _newton_bracket(
+                        diag, off, k, mid, left, right, tol, record
+                    )
+                else:
+                    below = sturm_count(diag, off, mid)
+                    record(mid, below)
+                    if below > k:
+                        right, right_count = mid, below
+                    else:
+                        left, left_count = mid, below
+            if mid <= left:
                 a = mid
+            else:
+                b = mid
         yield 0.5 * (a + b)
 
 

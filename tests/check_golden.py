@@ -1,17 +1,20 @@
-"""Byte-compare six CLI outputs with their goldens, standard library only.
+"""Byte-compare seven CLI outputs with their goldens, standard library only.
 
 Runs `derive --format csv`, `spectrum --p-max 50`, `numeric --grid 500`,
-`repcheck`, `verify-q5` and `compare --grid 500` through cli.main and
-compares their stdout and exit code with tests/golden/derive.csv,
-tests/golden/spectrum.json, tests/golden/numeric.json,
+`numeric` (its default grid, 2000), `repcheck`, `verify-q5` and
+`compare --grid 500` through cli.main and compares their stdout and exit
+code with tests/golden/derive.csv, tests/golden/spectrum.json,
+tests/golden/numeric.json, tests/golden/numeric-2000.json,
 tests/golden/repcheck.json, tests/golden/verify-q5.json and
-tests/golden/compare.json.  repcheck pins the exact modules and their
-float gauges, which read the coefficients of the exact kernel; verify-q5
-pins the text of all nine structure constants and of k; compare pins
-the per-p unitarity verdicts behind the predicted ladder and exits 1,
-because the criterion-10 gap between that ladder and the confined
-levels is reported.  It needs no test dependency, so it can run on any
-supported Python:
+tests/golden/compare.json.  The two numeric cases pin the
+finite-difference levels float for float, on matrices of 500 to 8001
+rows.  repcheck pins the exact modules and their float gauges, which
+read the coefficients of the exact kernel; verify-q5 pins the text of
+all nine structure constants and of k; compare pins the per-p unitarity
+verdicts behind the predicted ladder and exits 1, because the
+criterion-10 gap between that ladder and the confined levels is
+reported.  It needs no test dependency, so it can run on any supported
+Python:
 
     PYTHONPATH=src python tests/check_golden.py
 
@@ -32,6 +35,7 @@ CASES = (
     (["derive", "--format", "csv"], "derive.csv", 0),
     (["spectrum", "--p-max", "50"], "spectrum.json", 0),
     (["numeric", "--grid", "500"], "numeric.json", 0),
+    (["numeric"], "numeric-2000.json", 0),
     (["repcheck"], "repcheck.json", 0),
     (["verify-q5"], "verify-q5.json", 0),
     (["compare", "--grid", "500"], "compare.json", 1),

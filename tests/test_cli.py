@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -466,6 +467,43 @@ def test_bad_flag_values_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("subcommand", ["spectrum", "compare", "all"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_huge_p_max_exits_2_at_once(tmp_path, subcommand, source):
+    # 10**8 once died of a MemoryError; the cap refuses it before any
+    # derivation, on one stderr line
+    if source == "flag":
+        extra = ["--p-max", "100000000"]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[spectrum]\np_max = 100000000\n")
+        extra = ["--config", str(cfg)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicalg.cli", subcommand] + extra,
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "config error: p_max must be at most 100000, got 100000000\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_p_max_at_the_cap_is_accepted():
+    args = config_args("/nonexistent")
+    args.config = None
+    args.p_max = cli.MAX_P_MAX
+    assert cli.build_config(args).p_max == cli.MAX_P_MAX
+    args.p_max = cli.MAX_P_MAX + 1
+    with pytest.raises(cli.ConfigError, match="at most"):
+        cli.build_config(args)
+
+
 def test_missing_config_file_exits_2(capsys):
     assert cli.main(["spectrum", "--config", "/nonexistent/run.ini"]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -530,6 +568,15 @@ def test_numeric_stdout_matches_golden(capsys):
     # same floats, not merely close ones
     assert cli.main(["numeric", "--grid", "500"]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "numeric.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_default_numeric_stdout_matches_golden(capsys):
+    # numeric at its default grid 2000 solves matrices of 2000, 4001
+    # and 8001 rows, where most levels take the Newton bracket; pinned
+    # byte for byte like grid 500
+    assert cli.main(["numeric"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "numeric-2000.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

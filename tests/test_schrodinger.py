@@ -89,12 +89,12 @@ def reference_sturm_count(diag, off, lam):
     return count
 
 
-def reference_eigenvalues(t, tol):
-    # each level bisected on its own from the Gershgorin interval,
-    # sharing nothing with the other levels
+def reference_eigenvalues(t, tol, count=None):
+    # each of the count lowest levels (all by default) bisected on its
+    # own from the Gershgorin interval, sharing nothing with the others
     lo, hi = sch._gershgorin(t)
     out = []
-    for k in range(t.size):
+    for k in range(t.size if count is None else count):
         a, b = lo, hi
         for _ in range(128):
             if b - a <= tol:
@@ -141,6 +141,90 @@ def test_shared_counts_give_the_same_floats_on_random_tridiagonals():
 def test_shared_counts_give_the_same_floats_on_q5_wells(lo, hi):
     t = sch.discretize(sch.x_potential, sch.Grid1D(lo, hi, 200))
     assert list(sch._eigenvalues(t, 1e-10)) == reference_eigenvalues(t, 1e-10)
+
+
+def degenerate_tridiag(rng, n):
+    # exact degeneracies from zero off-diagonals between repeated
+    # diagonal values, and pivots that land on or under the 1e-300 floor
+    diag = [rng.choice((1.0, -2.0, 0.0, -0.0, 1e-300, 5e-301,
+                        rng.uniform(-5.0, 5.0))) for _ in range(n)]
+    off = [rng.choice((0.0, 0.0, 1.0, 1e-150, 1e-160,
+                       rng.uniform(-3.0, 3.0))) for _ in range(n - 1)]
+    return sch.TridiagMatrix(tuple(diag), tuple(off))
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-14])
+def test_replay_gives_the_same_floats_on_degenerate_tridiagonals(tol):
+    rng = random.Random(1616)
+    for _ in range(150):
+        t = degenerate_tridiag(rng, rng.randrange(1, 30))
+        assert list(sch._eigenvalues(t, tol)) == reference_eigenvalues(t, tol)
+
+
+def symmetric_double_well():
+    # two unit-depth halves of (-1, 1) behind a barrier of 2e4 on
+    # |x| < 0.2, mirrored entry for entry: the pairs under the barrier
+    # are split by about exp(-80), far under any tol
+    half = sch.discretize(lambda x: 2e4 if x > -0.2 else 0.0,
+                          sch.Grid1D(-1.0, 0.0, 100))
+    off = half.offdiagonal
+    return sch.TridiagMatrix(half.diagonal + half.diagonal[::-1],
+                             off + (off[0],) + off)
+
+
+def test_replay_falls_through_to_bisection_on_unsplit_pairs(monkeypatch):
+    t = symmetric_double_well()
+    want = reference_eigenvalues(t, 1e-10, 6)
+    assert want[0] == want[1] and want[2] == want[3] and want[4] == want[5]
+    newton = []
+    real = sch._sturm_newton
+    monkeypatch.setattr(sch, "_sturm_newton",
+                        lambda *args: newton.append(args) or real(*args))
+    assert list(islice(sch._eigenvalues(t, 1e-10), 6)) == want
+    assert newton == []
+
+
+@pytest.mark.parametrize("n", [500, 2001])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 12.0)])
+def test_replay_gives_the_same_floats_on_q5_wells(lo, hi, n):
+    # more than the levels q5_levels keeps below its cutoff of 6
+    t = sch.discretize(sch.x_potential, sch.Grid1D(lo, hi, n))
+    got = list(islice(sch._eigenvalues(t, 1e-10), 8))
+    assert got == reference_eigenvalues(t, 1e-10, 8)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 12.0)])
+def test_sturm_count_is_monotone_in_lam_on_q5_wells(lo, hi):
+    # the replay decides midpoints by this: ulp neighbours of each level,
+    # points a few tol away and a sweep across the low spectrum
+    t = sch.discretize(sch.x_potential, sch.Grid1D(lo, hi, 500))
+    levels = list(islice(sch._eigenvalues(t, 1e-10), 10))
+    lams = [levels[0] - 2.0 + j * (levels[-1] + 4.0 - levels[0]) / 400
+            for j in range(401)]
+    for level in levels:
+        x = y = level
+        for _ in range(30):
+            x = math.nextafter(x, -math.inf)
+            y = math.nextafter(y, math.inf)
+            lams += [x, y]
+        lams += [level + j * 1e-11 for j in range(-20, 21)]
+    lams.sort()
+    counts = [sch.sturm_count(t.diagonal, t.offdiagonal, lam) for lam in lams]
+    assert len(lams) > 1000
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert counts[0] == 0 and counts[-1] >= 10
+
+
+def test_q5_levels_sweep_budget(monkeypatch):
+    # plain bisection took 564 sweeps here; the Newton brackets about 210
+    sweeps = []
+    for name in ("sturm_count", "_sturm_newton"):
+        real = getattr(sch, name)
+        monkeypatch.setattr(
+            sch, name,
+            lambda *args, real=real: sweeps.append(args[2]) or real(*args))
+    sch.q5_levels(1.0, 6.0, 2000)
+    assert 0 < len(sweeps) <= 300
 
 
 def test_box_calibration():
