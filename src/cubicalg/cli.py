@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -203,21 +204,71 @@ def _inline_algebra(cfg):
     return spec, k
 
 
-def _structure_function(cfg):
-    """Phi and its realization: the cached q5 one, or the inline one."""
-    if cfg.preset == "q5":
-        return spectrum.q5_structure_function()
-    return ladder.derive_structure_function(*_inline_algebra(cfg))
+class _Run:
+    """The stages that the runners of one run share, each computed on
+    first use and then read by every runner that needs it, so that
+    `all` builds the families and solves the FD wells once."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    @cached_property
+    def structure_function(self):
+        """Phi and its realization: the cached q5 one, or the inline one."""
+        if self.cfg.preset == "q5":
+            return spectrum.q5_structure_function()
+        return ladder.derive_structure_function(*_inline_algebra(self.cfg))
+
+    @cached_property
+    def families(self):
+        """(branches, families, pinned) of Phi."""
+        return spectrum.energy_families(self.structure_function.phi)
+
+    @cached_property
+    def numeric(self):
+        return run_numeric(self.cfg)
+
+
+def _energy_values(energy, cfg, p):
+    """h = 1, the configured a and p; other symbols are 0."""
+    values = dict.fromkeys(energy.table.symbols, Fraction(0))
+    values.update(h=Fraction(1), a=cfg.a, p=Fraction(p))
+    return values
 
 
 def _float_energy(energy, cfg, p):
     """The energy at h = 1, the configured a and p; other symbols are 0."""
-    values = dict.fromkeys(energy.table.symbols, Fraction(0))
-    values.update(h=Fraction(1), a=cfg.a, p=Fraction(p))
     try:
-        return float(energy.evaluate(values))
+        return float(energy.evaluate(_energy_values(energy, cfg, p)))
     except OverflowError:
         raise ConfigError("a too small: the energy at p = %d overflows" % p)
+
+
+def _rises_to_a_float(energy, cfg):
+    """True when the energy, as in _float_energy, is nondecreasing in p
+    for p >= 0 and its float at p_max does not overflow.
+
+    Decided exactly from the coefficients of p: none past the constant
+    may be negative.  Such an energy, once over a positive cutoff,
+    stays over it up to p_max without overflowing, and its floats, each
+    correctly rounded, stay over it too.
+    """
+    try:
+        parts = energy.univariate_in("p")
+    except ValueError:
+        return False
+    values = _energy_values(energy, cfg, 0)
+    coeffs = [c.evaluate(values) for c in parts]
+    if any(c < 0 for c in coeffs[1:]):
+        return False
+    top = Fraction(0)
+    for c in reversed(coeffs):
+        top = top * cfg.p_max + c
+    try:
+        float(top)
+    except OverflowError:
+        return False
+    return True
 
 
 def _energy_entry(energy, cfg, samples=(0, 1, 2)):
@@ -242,8 +293,8 @@ def run_verify(cfg):
     }
 
 
-def run_derive(cfg):
-    sf = _structure_function(cfg)
+def run_derive(cfg, run=None):
+    sf = (run or _Run(cfg)).structure_function
     real = sf.realization
     coeffs = [c.format() for c in sf.phi.coefficients()]
     phi = {"degree": sf.phi.degree(), "coefficients": coeffs}
@@ -287,8 +338,8 @@ def run_derive(cfg):
     return doc
 
 
-def _catalog(cfg, sf):
-    branches, families, pinned = spectrum.energy_families(sf.phi)
+def run_spectrum(cfg, run=None):
+    branches, families, pinned = (run or _Run(cfg)).families
     rows = []
     for fam in families:
         decision = spectrum.unitarity_decision(fam)
@@ -335,15 +386,12 @@ def _catalog(cfg, sf):
     }
 
 
-def run_spectrum(cfg):
-    return _catalog(cfg, _structure_function(cfg))
-
-
-def run_repcheck(cfg):
+def run_repcheck(cfg, run=None):
     if cfg.preset != "q5":
         raise ConfigError("repcheck needs the q5 preset")
-    sf = spectrum.q5_structure_function()
-    branches, families, _ = spectrum.energy_families(sf.phi)
+    run = run or _Run(cfg)
+    sf = run.structure_function
+    branches, families, _ = run.families
     rows = []
     ok = True
     for fam in families:
@@ -411,30 +459,35 @@ def run_numeric(cfg):
     }
 
 
-def _predictions(cfg):
+def _predictions(cfg, run):
+    """(label, float energy) of every unitary module up to p_max whose
+    energy is at most the cutoff.  A family whose energy rises stops at
+    its first unitary p over the cutoff; a falling one is swept to
+    p_max."""
     preds = []
-    sf = spectrum.q5_structure_function()
-    branches, families, _ = spectrum.energy_families(sf.phi)
+    branches, families, _ = run.families
     for fam in families:
         label = branches[fam.start].root.format()
+        rising = _rises_to_a_float(fam.energy, cfg)
         for p in range(0, cfg.p_max + 1):
             if not spectrum.unitarity_verdict(fam, p).unitary:
                 continue
             energy = _float_energy(fam.energy, cfg, p)
             if energy > cfg.cutoff:
+                if rising:
+                    break
                 continue
             preds.append(("u=%s p=%d" % (label, p), energy))
     return preds
 
 
-def run_compare(cfg, numeric=None):
-    """Line the predictions up with the FD levels; numeric, when given,
-    is run_numeric(cfg) already computed."""
+def run_compare(cfg, run=None):
+    """Line the predictions up with the FD levels."""
     if cfg.preset != "q5":
         raise ConfigError("compare needs the q5 preset")
-    if numeric is None:
-        numeric = run_numeric(cfg)
-    preds = _predictions(cfg)
+    run = run or _Run(cfg)
+    numeric = run.numeric
+    preds = _predictions(cfg, run)
     report = schrodinger.compare(preds, numeric["levels"], cfg.tol)
     return {
         "comparison": [asdict(r) for r in report.rows],
@@ -444,14 +497,15 @@ def run_compare(cfg, numeric=None):
 
 
 def run_all(cfg):
+    run = _Run(cfg)
     doc = {
         "verify": run_verify(cfg),
-        "derive": run_derive(cfg),
-        "spectrum": run_spectrum(cfg),
-        "repcheck": run_repcheck(cfg),
-        "numeric": run_numeric(cfg),
+        "derive": run_derive(cfg, run),
+        "spectrum": run_spectrum(cfg, run),
+        "repcheck": run_repcheck(cfg, run),
+        "numeric": run.numeric,
     }
-    doc["compare"] = run_compare(cfg, doc["numeric"])
+    doc["compare"] = run_compare(cfg, run)
     doc["passed"] = all(part["passed"] for part in doc.values())
     return doc
 

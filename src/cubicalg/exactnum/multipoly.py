@@ -353,8 +353,11 @@ class MultiPoly:
 
         Values need +, * and integer powers among themselves and with
         Fraction scalars.  With all-Fraction values the result is a
-        Fraction.  This reads the Fraction view: a value is usually
-        evaluated at many points, and the view is built once.
+        Fraction.  When every value is an int or a Fraction n_i / d_i,
+        the sum is taken fraction-free: with D_i the top exponent of
+        symbol i, each term c * prod n_i^e * d_i^(D_i - e) is an integer,
+        and the result is one Fraction(total * cn, cd * prod d_i^D_i).
+        Other values read the Fraction view, built once per value.
         """
         values = [None] * self.table.nvars
         for name, val in mapping.items():
@@ -362,6 +365,8 @@ class MultiPoly:
         missing = [s for s, v in zip(self.table.symbols, values) if v is None]
         if missing:
             raise ValueError("unassigned symbols: %s" % ", ".join(missing))
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            return self._evaluate_rational(values)
         total = None
         for exps, coeff in self.terms.items():
             term = coeff
@@ -372,6 +377,35 @@ class MultiPoly:
         if total is None:
             return Fraction(0)
         return total
+
+    def _evaluate_rational(self, values):
+        if not self.ints:
+            return Fraction(0)
+        scale = 1
+        zeros, powers = [], []
+        for idx, top in enumerate(map(max, zip(*self.ints))):
+            if not top:
+                continue
+            n, d = values[idx].numerator, values[idx].denominator
+            if not n:
+                # a zero value kills every term that holds its symbol
+                zeros.append((idx, [1] + [0] * top))
+                continue
+            # table[e] = n^e * d^(top - e)
+            table = [d ** top]
+            for _ in range(top):
+                table.append(table[-1] // d * n)
+            scale *= table[0]
+            powers.append((idx, table))
+        factors = zeros + powers
+        total = 0
+        for exps, c in self.ints.items():
+            for idx, table in factors:
+                c *= table[exps[idx]]
+                if not c:
+                    break
+            total += c
+        return Fraction(total * self.cn, self.cd * scale)
 
     def try_div(self, divisor):
         """Exact quotient self / divisor, or None when not divisible.

@@ -546,6 +546,14 @@ def test_repcheck_stdout_matches_golden(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_repcheck_a7_stdout_matches_golden(capsys):
+    # at a = 7 the module matrices carry denominators from 49 to 7^6, so
+    # the exact residuals are pinned where the arithmetic is not integral
+    assert cli.main(["repcheck", "--a", "7"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "repcheck-a7.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_spectrum_stdout_matches_golden(capsys):
     # every verdict and every for-all-p decision of the q5 catalog at
     # p_max = 50, pinned byte for byte
@@ -720,3 +728,95 @@ def test_console_module_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["passed"] is True
+
+
+def test_all_computes_the_energy_families_once(monkeypatch, tmp_path):
+    # spectrum, repcheck and compare read the families of one run
+    calls = []
+    families = spectrum.energy_families
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return families(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "energy_families", counted)
+    code, _ = run_main(["all"], tmp_path)
+    assert code == 1
+    assert len(calls) == 1
+
+
+def full_sweep_predictions(cfg):
+    """Every unitary p up to p_max whose float energy is at most the
+    cutoff: the predictions with no family cut short."""
+    sf = spectrum.q5_structure_function()
+    branches, families, _ = spectrum.energy_families(sf.phi)
+    preds = []
+    for fam in families:
+        label = branches[fam.start].root.format()
+        for p in range(cfg.p_max + 1):
+            if spectrum.unitarity_verdict(fam, p).unitary:
+                energy = cli._float_energy(fam.energy, cfg, p)
+                if energy <= cfg.cutoff:
+                    preds.append(("u=%s p=%d" % (label, p), energy))
+    return preds
+
+
+def cli_config(argv):
+    parser = argparse.ArgumentParser()
+    for flag in ("--config", "--preset", "--a", "--format", "--out"):
+        parser.add_argument(flag)
+    parser.add_argument("--p-max", dest="p_max", type=int)
+    parser.add_argument("--grid", type=int)
+    parser.add_argument("--cutoff", type=float)
+    parser.add_argument("--tol", type=float)
+    return cli.build_config(parser.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p-max", "3000"],
+    ["--p-max", "300", "--a", "7"],
+    ["--p-max", "300", "--a", "3/7"],
+    ["--p-max", "200", "--cutoff", "40"],
+    ["--p-max", "0"],
+])
+def test_predictions_stop_rising_families_at_the_cutoff(monkeypatch, argv):
+    cfg = cli_config(argv)
+    want = full_sweep_predictions(cfg)
+    calls = []
+    energy = cli._float_energy
+
+    def counted(*args):
+        calls.append(args)
+        return energy(*args)
+
+    monkeypatch.setattr(cli, "_float_energy", counted)
+    got = cli._predictions(cfg, cli._Run(cfg))
+    assert got == want
+    # each rising family evaluates one energy past the last it keeps;
+    # the falling ones are swept to p_max and keep every unitary p
+    families = spectrum.energy_families(
+        spectrum.q5_structure_function().phi)[1]
+    assert len(calls) <= len(got) + len(families)
+
+
+def test_only_an_energy_that_provably_rises_is_cut():
+    table = algebra.master_table()
+    cfg = cli_config(["--p-max", "50"])
+    rising = [parse(text, table) for text in (
+        "(1/2*h^2*p + h^2)/a^2", "7", "p^3 - 1", "h^2*p^2/a^2 + p")]
+    not_rising = [parse(text, table) for text in (
+        "-1/2*h^2*p/a^2", "p^2 - 10*p", "-p^3 + 100*p^2")]
+    assert all(cli._rises_to_a_float(e, cfg) for e in rising)
+    assert not any(cli._rises_to_a_float(e, cfg) for e in not_rising)
+    # an energy that dips under the cutoff after passing it is swept on
+    cfg = cli_config(["--p-max", "12", "--cutoff", "0.5"])
+    dip = parse("p^2 - 10*p + 10", table)
+    values = [cli._float_energy(dip, cfg, p) for p in range(13)]
+    assert values[0] > cfg.cutoff and min(values) < cfg.cutoff
+    assert not cli._rises_to_a_float(dip, cfg)
+    # a rising energy whose float overflows by p_max keeps the full sweep,
+    # so the overflow is reported at the same p as before
+    cfg = cli_config(["--p-max", "1000", "--a", "1e-153"])
+    assert not cli._rises_to_a_float(rising[0], cfg)
+    cfg = cli_config(["--p-max", "300", "--a", "1e-153"])
+    assert cli._rises_to_a_float(rising[0], cfg)

@@ -46,7 +46,9 @@ def random_scalar(rng, kind):
     return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-4, 4)
 
 
-def random_rows(rng, n, shape, kind):
+def random_rows(rng, n, shape, kind, draw=None):
+    """Rows of the shape; draw() makes each entry inside it, by default
+    random_scalar(rng, kind)."""
     def entry(i, j):
         if shape == "zero":
             return kind(0)
@@ -54,7 +56,7 @@ def random_rows(rng, n, shape, kind):
             return kind(0)
         if shape == "tridiagonal" and abs(i - j) > 1:
             return kind(0)
-        return random_scalar(rng, kind)
+        return draw() if draw else random_scalar(rng, kind)
 
     return [[entry(i, j) for j in range(n)] for i in range(n)]
 
@@ -147,3 +149,131 @@ def test_max_abs_is_nan_wherever_a_nan_sits():
                  [[1.0, 0.0], [0.0, nan]], [[nan]]):
         assert math.isnan(Matrix(rows).max_abs())
     assert Matrix([[1.0, -3.0], [0.0, 2.0]]).max_abs() == 3.0
+
+
+# --- exact matrices: integer numerators over one common denominator --------
+
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 49, 343, 117649)
+
+
+def assert_lowest_terms(matrix):
+    """An exact matrix keeps the least common denominator of its values."""
+    want = math.lcm(*(Fraction(v).denominator for row in matrix.rows
+                      for v in row))
+    assert matrix.den == want
+
+
+def test_mixed_denominators_match_dense_fractions_in_lowest_terms():
+    rng = random.Random(20261019)
+
+    def draw():
+        return Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+
+    for n in (1, 3, 6):
+        for left in SHAPES:
+            for right in SHAPES:
+                x = random_rows(rng, n, left, Fraction, draw)
+                y = random_rows(rng, n, right, Fraction, draw)
+                s = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)),
+                             rng.choice(DENOMINATORS))
+                mx, my = Matrix(x), Matrix(y)
+                exact = [
+                    (dense_mul(x, y), mx * my),
+                    (dense_add(x, y), mx + my),
+                    (dense_sub(x, y), mx - my),
+                    (dense_neg(x), -mx),
+                    (dense_scale(x, s), mx * s),
+                    (dense_scale(x, s), s * mx),
+                    (dense_scale(x, 3), 3 * mx),
+                    (dense_scale(x, 0), mx * Fraction(0)),
+                ]
+                for want, got in exact:
+                    assert_same(want, got)
+                    assert_lowest_terms(got)
+                # a float scalar or a float matrix meets the exact values
+                # as Fractions, with the bits of the dense formulas; f
+                # holds no zero, which the sparse forms would skip
+                f = random_rows(rng, n, "dense", float)
+                mf = Matrix(f)
+                assert_same(dense_scale(x, 0.1), mx * 0.1)
+                assert_same(dense_scale(x, 0.1), 0.1 * mx)
+                assert_same(dense_add(x, f), mx + mf)
+                assert_same(dense_sub(f, x), mf - mx)
+                assert_same(dense_mul(x, f), mx * mf)
+                assert_same(dense_mul(f, x), mf * mx)
+
+
+
+def test_results_reduce_to_den_1():
+    x = Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(5, 6), 0]])
+    assert x.den == 6
+    six = x * 6
+    assert six.den == 1 and six == Matrix([[3, 2], [5, 0]])
+    y = Matrix([[Fraction(3, 2), Fraction(1, 3)], [Fraction(5, 6), 1]])
+    diff = y - x
+    assert diff.den == 1 and diff == Matrix.identity(2)
+    assert (x - x).den == 1 and (x - x).is_zero()
+    prod = Matrix.diagonal([Fraction(2, 3), Fraction(7, 2)]) * Matrix.diagonal(
+        [Fraction(3, 2), Fraction(2, 7)])
+    assert prod.den == 1 and prod == Matrix.identity(2)
+    scaled = Fraction(49, 9) * Matrix(
+        [[Fraction(9, 49), Fraction(18, 7)], [0, Fraction(-27, 343)]])
+    assert scaled.den == 7
+    assert scaled.rows == ((1, 14), (0, Fraction(-3, 7)))
+
+
+def test_equal_values_are_equal_across_int_float_and_fraction():
+    half = [
+        Matrix([[0.5]]),
+        Matrix([[Fraction(1, 2)]]),
+        Matrix.diagonal([0.5]),
+        Matrix.identity(1) * Fraction(1, 2),
+        Matrix.identity(1) * 0.5,
+        Matrix([[Fraction(3, 2)]]) - Matrix.identity(1),
+        Matrix([[0.25]]) + Matrix([[Fraction(1, 4)]]),
+    ]
+    for m in half:
+        assert m == half[0] and half[0] == m
+        assert hash(m) == hash(half[0])
+    rows = [[1, 0.25], [Fraction(-3, 4), 2]]
+    same = [[1.0, Fraction(1, 4)], [-0.75, Fraction(2)]]
+    assert Matrix(rows) == Matrix(same)
+    assert hash(Matrix(rows)) == hash(Matrix(same))
+    assert Matrix([[Fraction(1, 2), 0], [0, 3]]) == Matrix(
+        [[0.5, 0.0], [0.0, 3.0]])
+    # no float is one third
+    assert Matrix([[Fraction(1, 3)]]) != Matrix([[1 / 3]])
+    assert Matrix([[Fraction(1, 2)]]) != Matrix([[Fraction(1, 3)]])
+
+
+def test_a_matrix_with_a_float_keeps_its_entries_as_given():
+    rows = [[0.5, Fraction(1, 3)], [Fraction(2, 7), 1]]
+    m = Matrix(rows)
+    assert m.den == 1
+    assert m.rows == ((0.5, Fraction(1, 3)), (Fraction(2, 7), 1))
+    assert type(m.rows[0][1]) is Fraction
+    # no zero entry, which the sparse forms would skip and the dense
+    # formulas would turn into a float 0.0 term
+    exact = Matrix([[Fraction(1, 6), Fraction(2, 5)],
+                    [Fraction(-1, 7), Fraction(5, 3)]])
+    x = [list(r) for r in exact.rows]
+    assert_same(dense_mul(rows, x), m * exact)
+    assert_same(dense_mul(x, rows), exact * m)
+    assert_same(dense_add(rows, x), m + exact)
+    assert_same(dense_sub(x, rows), exact - m)
+    assert_same(dense_scale(rows, Fraction(2, 3)), m * Fraction(2, 3))
+
+
+def test_entry_and_float_rows_round_as_float_of_a_fraction():
+    big = Fraction(10 ** 300, 7)
+    m = Matrix([[Fraction(1, 3), big], [Fraction(1, 10 ** 400), 0]])
+    assert m.entry(0, 1) == big and m.entry(1, 1) == 0
+    rows = m.float_rows()
+    assert rows[0] == {0: float(Fraction(1, 3)), 1: float(big)}
+    assert rows[1] == {0: 0.0}
+    with pytest.raises(OverflowError):
+        float(Fraction(10 ** 400, 3))
+    with pytest.raises(OverflowError):
+        Matrix([[Fraction(10 ** 400, 3)]]).float_rows()
+    assert Matrix([[0.5, 2], [0, -1.5]]).float_rows() == [
+        {0: 0.5, 1: 2.0}, {1: -1.5}]

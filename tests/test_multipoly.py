@@ -1,10 +1,13 @@
 """Polynomial and restricted-fraction arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicalg.exactnum import (
     ExactDivisionError,
@@ -448,3 +451,58 @@ class TestPolyFraction:
         assert v.format() == "-4*h^6/a^4"
         w = PolyFraction(sym("x") + sym("a"), (1, 1, 0))
         assert w.format() == "(x + a)/a/(x-a)"
+
+
+# --- evaluation at rational points -----------------------------------------
+
+RATIONAL_VALUES = st.one_of(
+    st.sampled_from([0, Fraction(0), 1, -1]),
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+
+
+def evaluate_oracle(p, values):
+    """Term-by-term Fraction sum of p at values."""
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        term = c
+        for name, e in zip(TABLE.symbols, exps):
+            term *= Fraction(values[name]) ** e
+        total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    values=st.fixed_dictionaries({s: RATIONAL_VALUES for s in TABLE.symbols}),
+)
+def test_rational_evaluate_matches_the_term_by_term_sum(seed, values):
+    rng = random.Random(seed)
+    p = random_poly(rng, rng.randint(0, 8), rng.choice((1, 7, 10 ** 6)))
+    got = p.evaluate(values)
+    assert type(got) is Fraction
+    assert got == evaluate_oracle(p, values)
+    # through PolyFraction over (x - a)^2 (x + a); random p cancels no atom
+    x, a = Fraction(values["x"]), Fraction(values["a"])
+    f = PolyFraction(p, (0, 2, 1))
+    assert f.den == ((0, 0, 0) if p.is_zero() else (0, 2, 1))
+    atoms = [v ** e for v, e in zip((a, x - a, x + a), f.den) if e]
+    if 0 in atoms:
+        with pytest.raises(PoleError):
+            f.evaluate(values)
+    else:
+        assert f.evaluate(values) == got / math.prod(atoms)
+
+
+def test_evaluate_of_other_values_keeps_the_ring_of_the_values():
+    x, y = sym("x"), sym("y")
+    p = 3 * x ** 2 * y - Fraction(1, 2) * y + 5
+    point = {"x": 0.5, "y": -2.0, "h": 0, "a": 0, "g": 0}
+    got = p.evaluate(point)
+    assert type(got) is float
+    assert got == 3 * 0.25 * -2.0 - 0.5 * -2.0 + 5
+    # a polynomial value substitutes: p(x + 1, y) at h = a = g = 0
+    shifted = p.evaluate({"x": x + 1, "y": y, "h": 0, "a": 0, "g": 0})
+    assert shifted == 3 * (x + 1) ** 2 * y - Fraction(1, 2) * y + 5
