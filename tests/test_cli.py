@@ -761,26 +761,23 @@ def full_sweep_predictions(cfg):
     return preds
 
 
-def cli_config(argv):
-    parser = argparse.ArgumentParser()
-    for flag in ("--config", "--preset", "--a", "--format", "--out"):
-        parser.add_argument(flag)
-    parser.add_argument("--p-max", dest="p_max", type=int)
-    parser.add_argument("--grid", type=int)
-    parser.add_argument("--cutoff", type=float)
-    parser.add_argument("--tol", type=float)
-    return cli.build_config(parser.parse_args(argv))
+def cli_config(**flags):
+    """The RunConfig of the q5 preset with these flags."""
+    args = config_args(None)
+    args.config = None
+    vars(args).update(flags)
+    return cli.build_config(args)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--p-max", "3000"],
-    ["--p-max", "300", "--a", "7"],
-    ["--p-max", "300", "--a", "3/7"],
-    ["--p-max", "200", "--cutoff", "40"],
-    ["--p-max", "0"],
+@pytest.mark.parametrize("flags", [
+    dict(p_max=3000),
+    dict(p_max=300, a="7"),
+    dict(p_max=300, a="3/7"),
+    dict(p_max=200, cutoff=40.0),
+    dict(p_max=0),
 ])
-def test_predictions_stop_rising_families_at_the_cutoff(monkeypatch, argv):
-    cfg = cli_config(argv)
+def test_predictions_stop_rising_families_at_the_cutoff(monkeypatch, flags):
+    cfg = cli_config(**flags)
     want = full_sweep_predictions(cfg)
     calls = []
     energy = cli._float_energy
@@ -801,7 +798,7 @@ def test_predictions_stop_rising_families_at_the_cutoff(monkeypatch, argv):
 
 def test_only_an_energy_that_provably_rises_is_cut():
     table = algebra.master_table()
-    cfg = cli_config(["--p-max", "50"])
+    cfg = cli_config(p_max=50)
     rising = [parse(text, table) for text in (
         "(1/2*h^2*p + h^2)/a^2", "7", "p^3 - 1", "h^2*p^2/a^2 + p")]
     not_rising = [parse(text, table) for text in (
@@ -809,14 +806,14 @@ def test_only_an_energy_that_provably_rises_is_cut():
     assert all(cli._rises_to_a_float(e, cfg) for e in rising)
     assert not any(cli._rises_to_a_float(e, cfg) for e in not_rising)
     # an energy that dips under the cutoff after passing it is swept on
-    cfg = cli_config(["--p-max", "12", "--cutoff", "0.5"])
+    cfg = cli_config(p_max=12, cutoff=0.5)
     dip = parse("p^2 - 10*p + 10", table)
     values = [cli._float_energy(dip, cfg, p) for p in range(13)]
     assert values[0] > cfg.cutoff and min(values) < cfg.cutoff
     assert not cli._rises_to_a_float(dip, cfg)
     # a rising energy whose float overflows by p_max keeps the full sweep,
     # so the overflow is reported at the same p as before
-    cfg = cli_config(["--p-max", "1000", "--a", "1e-153"])
+    cfg = cli_config(p_max=1000, a="1e-153")
     assert not cli._rises_to_a_float(rising[0], cfg)
-    cfg = cli_config(["--p-max", "300", "--a", "1e-153"])
+    cfg = cli_config(p_max=300, a="1e-153")
     assert cli._rises_to_a_float(rising[0], cfg)
