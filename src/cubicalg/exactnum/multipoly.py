@@ -359,14 +359,9 @@ class MultiPoly:
         and the result is one Fraction(total * cn, cd * prod d_i^D_i).
         Other values read the Fraction view, built once per value.
         """
-        values = [None] * self.table.nvars
-        for name, val in mapping.items():
-            values[self.table.index(name)] = val
-        missing = [s for s, v in zip(self.table.symbols, values) if v is None]
-        if missing:
-            raise ValueError("unassigned symbols: %s" % ", ".join(missing))
+        values = self._values(mapping)
         if all(isinstance(v, (int, Fraction)) for v in values):
-            return self._evaluate_rational(values)
+            return Fraction(*self._rational_parts(values))
         total = None
         for exps, coeff in self.terms.items():
             term = coeff
@@ -378,9 +373,21 @@ class MultiPoly:
             return Fraction(0)
         return total
 
-    def _evaluate_rational(self, values):
+    def _values(self, mapping):
+        """The values of mapping in table order; every symbol needs one."""
+        values = [None] * self.table.nvars
+        for name, val in mapping.items():
+            values[self.table.index(name)] = val
+        missing = [s for s, v in zip(self.table.symbols, values) if v is None]
+        if missing:
+            raise ValueError("unassigned symbols: %s" % ", ".join(missing))
+        return values
+
+    def _rational_parts(self, values):
+        """(numerator, positive denominator) ints of the value at int or
+        Fraction values, summed fraction-free."""
         if not self.ints:
-            return Fraction(0)
+            return 0, 1
         scale = 1
         zeros, powers = [], []
         for idx, top in enumerate(map(max, zip(*self.ints))):
@@ -405,7 +412,7 @@ class MultiPoly:
                 if not c:
                     break
             total += c
-        return Fraction(total * self.cn, self.cd * scale)
+        return total * self.cn, self.cd * scale
 
     def try_div(self, divisor):
         """Exact quotient self / divisor, or None when not divisible.

@@ -277,20 +277,35 @@ class PolyFraction:
         return out
 
     def evaluate(self, mapping):
-        """Evaluate all symbols at rationals, returning a Fraction."""
-        value = self.num.evaluate(mapping)
-        table = self.table
+        """Evaluate all symbols in any field, returning a Fraction when
+        every value is an int or a Fraction.
+
+        Then the numerator's fraction-free sum and each atom's value, an
+        integer n / d, are folded into one Fraction.  Other values divide
+        the numerator's value by the product of the atoms' powers.
+        """
+        values = self.num._values(mapping)
+        rational = all(isinstance(v, (int, Fraction)) for v in values)
+        if rational:
+            top, bottom = self.num._rational_parts(values)
+        else:
+            top, bottom = self.num.evaluate(mapping), 1
         for k, e in enumerate(self.den):
             if e == 0:
                 continue
-            atom = table.atoms[k]
-            atom_val = atom.constant
+            atom = self.table.atoms[k]
+            n, d = atom.constant, 1
             for j, c in atom.terms:
-                atom_val = atom_val + c * mapping[table.symbols[j]]
-            if atom_val == 0:
+                if rational:
+                    vn, vd = values[j].numerator, values[j].denominator
+                    n, d = n * vd + c * vn * d, d * vd
+                else:
+                    n = n + c * values[j]
+            if n == 0:
                 raise PoleError("denominator atom %s vanishes" % atom.name)
-            value = value / atom_val ** e
-        return value
+            top *= d ** e
+            bottom *= n ** e
+        return Fraction(top, bottom) if rational else top / bottom
 
     def univariate_in(self, name):
         """Coefficient list (ascending) of one symbol; atoms must not use it."""

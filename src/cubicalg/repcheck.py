@@ -10,9 +10,11 @@ which probes the same relations under roundoff.
 """
 
 import math
-from math import gcd, lcm
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul
 
 from . import casimir, spectrum
 from .casimir import acomm, comm  # noqa: F401  (acomm re-exported)
@@ -20,136 +22,154 @@ from .exactnum import PoleError
 
 
 class Matrix:
-    """Square matrix over Fractions or floats, stored by its nonzero
-    entries.
+    """Square matrix over Fractions or floats, stored by its diagonals.
 
-    Row i is a dict {column: x}, in ascending column order, of the
-    entries that are not == 0.  An exact matrix (every entry an int or a
-    Fraction) holds integer numerators x over one positive common
-    denominator den, in lowest terms: den and the numerators have gcd 1,
-    so a value is stored one way only.  A product multiplies the
-    numerators and the two dens, a sum scales both sides to the lcm of
-    the dens, and a rational scalar scales the numerators by its
-    numerator and den by its denominator.  Each result then takes one
-    gcd over den and its numerators, skipped when den is 1, where
-    Fraction entries would pay a gcd for every + and *.
+    The diagonal at offset o = j - i is one list whose entry t sits at
+    row t - min(o, 0) and column t + max(o, 0), so t = min(i, j).  Only
+    diagonals that hold a nonzero entry are kept, in ascending offset
+    order.  A module is a band matrix (A diagonal, B tridiagonal), so
+    every product in the relations stays within a few diagonals, and an
+    operation is a few list operations per diagonal, or per pair of
+    diagonals for a product, rather than a loop per entry.
+
+    An exact matrix (every entry an int or a Fraction) holds integer
+    numerators over one positive common denominator den, in lowest
+    terms: den and the numerators have gcd 1, so a value is stored one
+    way only.  A product multiplies the numerators and the two dens, a
+    sum scales both sides to the lcm of the dens, and a rational scalar
+    scales the numerators by its numerator and den by its denominator.
+    Each result then takes one gcd over den and its numerators, skipped
+    when den is 1, where Fraction entries would pay a gcd for every +
+    and *.
 
     Any other matrix, one with a float entry say, keeps den = 1 and its
     entries as given, Fractions among them, and does the arithmetic of
     its entries.  An exact matrix meets such a matrix or a float scalar
     with its entries as Fraction(x, den).  So a float matrix does the
-    same float operations as a dense one: each product entry sums x * y
-    over k in ascending order and skips only exact zeros, which change
-    no nonzero float.
+    same float operations as a dense one: a product takes the left
+    offsets in ascending order, so each entry sums x * y over k in
+    ascending order.  A term or a sum with a zero operand is left out,
+    not computed, so a zero inside a band changes no nonzero float and
+    never meets an inf to make a NaN.
 
-    +, -, negation and scalar * cost O(nonzeros), and a product of band
-    matrices stays a band at O(n) cost.  rows gives the dense form, an
-    exact entry as Fraction(x, den), and == and hash compare values:
-    Matrix([[0.5]]) == Matrix([[Fraction(1, 2)]]).
+    rows gives the dense form, an exact entry as Fraction(x, den), and
+    == and hash compare values: Matrix([[0.5]]) == Matrix([[Fraction(1, 2)]]).
     """
 
-    __slots__ = ("_size", "_rows", "den", "_exact")
+    __slots__ = ("_size", "_diags", "den", "_exact")
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
-        if any(len(row) != len(rows) for row in rows):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        self._store(
-            len(rows),
-            [{j: x for j, x in enumerate(row) if x != 0} for row in rows],
-        )
+        self._store(n, {
+            o: [rows[t - min(o, 0)][t + max(o, 0)] for t in range(n - abs(o))]
+            for o in range(1 - n, n)
+        })
 
     @classmethod
     def from_sparse(cls, size, rows):
         """Matrix from rows {column: value} in ascending column order
         that hold no zero."""
+        diags = {}
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if j - i not in diags:
+                    diags[j - i] = [0] * (size - abs(j - i))
+                diags[j - i][min(i, j)] = x
+        return cls._of(size, diags)
+
+    @classmethod
+    def _of(cls, size, diags):
+        """Matrix from diagonals {offset: entries} of any values."""
         m = object.__new__(cls)
-        m._store(size, rows)
+        m._store(size, diags)
         return m
 
-    def _store(self, size, rows):
-        self._size = size
-        values = [x for row in rows for x in row.values()]
-        if all(isinstance(x, (int, Fraction)) for x in values):
+    def _store(self, size, diags):
+        values = [x for d in diags.values() for x in d]
+        exact = all(isinstance(x, (int, Fraction)) for x in values)
+        den = 1
+        if exact:
             # the lcm of reduced denominators leaves numerators with gcd 1
             den = lcm(*(x.denominator for x in values))
-            self._rows = tuple(
-                {j: x.numerator * (den // x.denominator)
-                 for j, x in row.items()}
-                for row in rows
-            )
-            self.den = den
-            self._exact = True
-        else:
-            self._rows = tuple(rows)
-            self.den = 1
-            self._exact = False
+            diags = {
+                o: [x.numerator * (den // x.denominator) for x in d]
+                for o, d in diags.items()
+            }
+        self._size, self.den, self._exact = size, den, exact
+        self._diags = _band(diags)
 
     @classmethod
-    def _make(cls, size, rows, den=1, exact=True):
-        """Matrix from stored rows that are sorted and hold no zero."""
+    def _make(cls, size, diags, den=1, exact=True):
+        """Matrix from stored diagonals, all-zero ones dropped."""
         m = object.__new__(cls)
-        m._size = size
-        m._rows = tuple(rows)
-        m.den = den
-        m._exact = exact
+        m._size, m.den, m._exact = size, den, exact
+        m._diags = _band(diags)
         return m
 
     @classmethod
-    def _reduced(cls, size, rows, den):
-        """The exact matrix rows / den, brought to lowest terms."""
+    def _reduced(cls, size, diags, den):
+        """The exact matrix diags / den, brought to lowest terms."""
         if den != 1:
-            g = gcd(den, *[x for row in rows for x in row.values()])
+            g = gcd(den, *chain.from_iterable(diags.values()))
             if g != 1:
-                rows = [{j: x // g for j, x in row.items()} for row in rows]
+                diags = {o: [x // g for x in d] for o, d in diags.items()}
                 den //= g
-        return cls._make(size, rows, den)
+        return cls._make(size, diags, den)
 
     @classmethod
     def identity(cls, n):
-        return cls._make(n, [{i: 1} for i in range(n)])
+        return cls._make(n, {0: [1] * n})
 
     @classmethod
     def diagonal(cls, values):
-        rows = [{i: x} if x != 0 else {} for i, x in enumerate(values)]
-        return cls.from_sparse(len(rows), rows)
+        values = list(values)
+        return cls._of(len(values), {0: values})
 
     def _values(self):
-        """Rows of entry values, for arithmetic that is not exact."""
+        """Diagonals of entry values, for arithmetic that is not exact."""
         if not self._exact or self.den == 1:
-            return self._rows
+            return self._diags
         den = self.den
-        return tuple(
-            {j: Fraction(x, den) for j, x in row.items()} for row in self._rows
-        )
+        return {
+            o: [Fraction(x, den) if x else 0 for x in d]
+            for o, d in self._diags.items()
+        }
+
+    def _cells(self):
+        """(row, column, stored value) of each nonzero entry, by
+        ascending offset."""
+        for o, d in self._diags.items():
+            for t, x in enumerate(d):
+                if x:
+                    yield t - min(o, 0), t + max(o, 0), x
 
     @property
     def rows(self):
         """Dense rows, a tuple of tuples with 0 off the stored entries."""
-        n = self._size
-        if self._exact:
-            den = self.den
-            return tuple(
-                tuple(Fraction(row[j], den) if j in row else 0
-                      for j in range(n))
-                for row in self._rows
-            )
-        return tuple(
-            tuple(row.get(j, 0) for j in range(n)) for row in self._rows
-        )
+        n, den, exact = self._size, self.den, self._exact
+        dense = [[0] * n for _ in range(n)]
+        for i, j, x in self._cells():
+            dense[i][j] = Fraction(x, den) if exact else x
+        return tuple(map(tuple, dense))
 
     def entry(self, i, j):
         """The value at row i, column j."""
-        x = self._rows[i].get(j, 0)
-        return Fraction(x, self.den) if self._exact else x
+        d = self._diags.get(j - i)
+        x = d[min(i, j)] if d else 0
+        return Fraction(x, self.den) if self._exact else x or 0
 
     def float_rows(self):
         """Sparse rows of floats.  An exact entry is x / den, rounded
         once, as float(Fraction) rounds it; an underflow gives 0.0."""
-        if self._exact:
-            den = self.den
-            return [{j: x / den for j, x in row.items()} for row in self._rows]
-        return [{j: float(x) for j, x in row.items()} for row in self._rows]
+        den = self.den
+        convert = (lambda x: x / den) if self._exact else float
+        rows = [{} for _ in range(self._size)]
+        for i, j, x in self._cells():
+            rows[i][j] = convert(x)
+        return rows
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -160,50 +180,55 @@ class Matrix:
     def _plus(self, other, sign):
         if self._exact and other._exact:
             den = lcm(self.den, other.den)
-            rows = _add_rows(
-                self._rows, other._rows, den // self.den,
-                sign * (den // other.den),
+            mine = _scaled(self._diags, den // self.den)
+            theirs = _scaled(other._diags, sign * (den // other.den))
+            return Matrix._reduced(
+                self._size, _merged(mine, theirs, _int_sum), den
             )
-            return Matrix._reduced(self._size, rows, den)
         theirs = other if sign == 1 else -other
         return Matrix._make(
-            self._size, _add_rows(self._values(), theirs._values()), 1, False
+            self._size,
+            _merged(self._values(), theirs._values(), _nonzero_sum),
+            1,
+            False,
         )
 
     def __neg__(self):
         return Matrix._make(
             self._size,
-            [{j: -x for j, x in row.items()} for row in self._rows],
+            {o: [-x for x in d] for o, d in self._diags.items()},
             self.den,
             self._exact,
         )
 
     def __mul__(self, other):
+        n = self._size
         if isinstance(other, Matrix):
             if self._exact and other._exact:
                 return Matrix._reduced(
-                    self._size, _mul_rows(self._rows, other._rows),
+                    n, _product(self._diags, other._diags, n, _int_products),
                     self.den * other.den,
                 )
             return Matrix._make(
-                self._size, _mul_rows(self._values(), other._values()),
-                1, False,
+                n,
+                _product(self._values(), other._values(), n,
+                         _nonzero_products),
+                1,
+                False,
             )
         if self._exact and isinstance(other, (int, Fraction)):
-            n = other.numerator
-            if not n:
-                return Matrix._make(self._size, [{} for _ in self._rows])
+            k = other.numerator
             return Matrix._reduced(
-                self._size,
-                [{j: x * n for j, x in row.items()} for row in self._rows],
+                n,
+                {o: [x * k for x in d] for o, d in self._diags.items()},
                 self.den * other.denominator,
             )
         return Matrix._make(
-            self._size,
-            [
-                {j: y for j, x in row.items() if (y := x * other) != 0}
-                for row in self._values()
-            ],
+            n,
+            {
+                o: [x * other if x else 0 for x in d]
+                for o, d in self._values().items()
+            },
             1,
             False,
         )
@@ -215,54 +240,88 @@ class Matrix:
         if not isinstance(other, Matrix) or self._size != other._size:
             return False
         if self._exact and other._exact:
-            return self.den == other.den and self._rows == other._rows
+            return self.den == other.den and self._diags == other._diags
         return self._values() == other._values()
 
     def __hash__(self):
         # equal values hash alike across int, Fraction and float
-        return hash(
-            (self._size, tuple(tuple(row.items()) for row in self._values()))
-        )
+        return hash((
+            self._size,
+            tuple((o, tuple(d)) for o, d in self._values().items()),
+        ))
 
     def is_zero(self):
-        return not any(self._rows)
+        return not self._diags
 
     def max_abs(self):
+        values = (abs(x) for d in self._diags.values() for x in d if x)
         if self._exact:
-            return Fraction(
-                max((abs(x) for row in self._rows for x in row.values()),
-                    default=0),
-                self.den,
-            )
-        return _max_or_nan(abs(x) for row in self._rows for x in row.values())
+            return Fraction(max(values, default=0), self.den)
+        return _max_or_nan(values)
 
 
-def _add_rows(left, right, ml=1, mr=1):
-    """Row by row ml * left + mr * right, zeros dropped, columns
-    ascending."""
-    out = []
-    for mine, theirs in zip(left, right):
-        row = dict(mine) if ml == 1 else {j: x * ml for j, x in mine.items()}
-        for j, y in theirs.items():
-            if mr != 1:
-                y = y * mr
-            row[j] = row[j] + y if j in row else y
-        out.append({j: row[j] for j in sorted(row) if row[j] != 0})
+def _band(diags):
+    """diags in ascending offset order, without the all-zero ones."""
+    return {o: d for o, d in sorted(diags.items()) if any(d)}
+
+
+def _scaled(diags, m):
+    if m == 1:
+        return diags
+    return {o: [x * m for x in d] for o, d in diags.items()}
+
+
+def _merged(left, right, plus):
+    """Diagonals of left + right, plus(x, y) adding two same-offset
+    diagonals."""
+    out = dict(left)
+    for o, ys in right.items():
+        xs = out.get(o)
+        out[o] = ys if xs is None else plus(xs, ys)
     return out
 
 
-def _mul_rows(left, right):
-    """Row by row product: entry j of row i sums x * y over k ascending."""
-    out = []
-    for row in left:
-        acc = {}
-        for k, x in row.items():
-            for j, y in right[k].items():
-                if j in acc:
-                    acc[j] = acc[j] + x * y
-                else:
-                    acc[j] = x * y
-        out.append({j: acc[j] for j in sorted(acc) if acc[j] != 0})
+def _int_sum(xs, ys):
+    return list(map(add, xs, ys))
+
+
+def _nonzero_sum(xs, ys):
+    return [x + y if x and y else x or y for x, y in zip(xs, ys)]
+
+
+def _int_products(xs, ys):
+    return list(map(mul, xs, ys))
+
+
+def _nonzero_products(xs, ys):
+    return [x * y if x and y else 0 for x, y in zip(xs, ys)]
+
+
+def _product(left, right, n, products):
+    """Diagonals of the n x n product left * right.
+
+    Entry (i, j) sums left[i, k] * right[k, j] over the pairs of offsets
+    (j - i = o1 + o2, k = i + o1), and the outer loop takes left's
+    offsets in ascending order, so the terms of an entry are added with
+    k ascending.  products(xs, ys) multiplies two slices entry by entry.
+    """
+    out = {}
+    for o1, xs in left.items():
+        for o2, ys in right.items():
+            o = o1 + o2
+            # the rows i that have both k = i + o1 and j = i + o in range
+            lo, hi = max(0, -o1, -o), min(n, n - o1, n - o)
+            if lo >= hi:
+                continue
+            a1, a2, a = lo + min(o1, 0), lo + o1 + min(o2, 0), lo + min(o, 0)
+            terms = products(xs[a1:a1 + hi - lo], ys[a2:a2 + hi - lo])
+            acc = out.get(o)
+            if acc is None and hi - lo == n - abs(o):
+                out[o] = terms
+                continue
+            if acc is None:
+                acc = out[o] = [0] * (n - abs(o))
+            acc[a:a + hi - lo] = map(add, acc[a:a + hi - lo], terms)
     return out
 
 
@@ -309,16 +368,11 @@ def matrix_module(sf, u, p, values):
     b_at = _valued(real.b_of_nu, values)
     rho_at = _valued(real.rho, values)
     a = Matrix.diagonal([a_at(u + i) for i in range(n)])
-    rows = []
-    for j in range(n):
-        row = {}
-        if j:
-            row[j - 1] = rho_at(u + j - 1) * phi[j]
-        row[j] = b_at(u + j)
-        if j + 1 < n:
-            row[j + 1] = Fraction(1)
-        rows.append({i: x for i, x in row.items() if x != 0})
-    b = Matrix.from_sparse(n, rows)
+    b = Matrix._of(n, {
+        -1: [rho_at(u + i) * phi[i + 1] for i in range(n - 1)],
+        0: [b_at(u + i) for i in range(n)],
+        1: [1] * (n - 1),
+    })
     c = comm(a, b)
     k = sf.k.evaluate(values)
     return MatrixModule(u=u, dimension=n, a=a, b=b, c=c, k=k, phi=phi)
@@ -326,20 +380,35 @@ def matrix_module(sf, u, p, values):
 
 def _valued(nf, values):
     """nf with values put into its coefficients once: a function of
-    rational nu that evaluates the numerator by Fraction Horner."""
-    num = [c.evaluate(values) for c in reversed(nf.num)]
-    den = nf.den
+    rational nu that evaluates over the integers.
+
+    The coefficients c_i become integers over one common denominator D.
+    At nu = n / d the numerator times D * d^deg is the integer
+    sum c_i * n^i * d^(deg - i), summed by Horner, and each pole factor
+    (nu - r)^m joins as an integer numerator and denominator, so a call
+    builds one Fraction.
+    """
+    coeffs = [c.evaluate(values) for c in nf.num]
+    common = lcm(*(c.denominator for c in coeffs))
+    top_first = [c.numerator * (common // c.denominator)
+                 for c in reversed(coeffs)]
+    poles = [(r.numerator, r.denominator, m) for r, m in nf.den]
+    deg = max(len(coeffs) - 1, 0)
 
     def at(point):
-        for r, _ in den:
-            if r == point:
+        n, d = point.numerator, point.denominator
+        num, den, power = 0, common * d ** deg, 1
+        for c in top_first:
+            num = num * n + c * power
+            power *= d
+        for rn, rd, m in poles:
+            # point - r = gap / (d * rd)
+            gap = n * rd - rn * d
+            if not gap:
                 raise PoleError("nu = %s is a pole" % (point,))
-        value = Fraction(0)
-        for c in num:
-            value = value * point + c
-        for r, m in den:
-            value = value / (point - r) ** m
-        return value
+            num *= (d * rd) ** m
+            den *= gap ** m
+        return Fraction(num, den)
 
     return at
 
@@ -398,12 +467,16 @@ def symmetric_gauge(module):
         d.append(d[-1] * math.sqrt(float(up)))
 
     def conjugate(m):
+        # entry (i, j) is x / den, rounded as float_rows rounds it, times
+        # d[j] / d[i]; a zero entry stays zero even where d overflows
+        den = m.den
         return Matrix._make(
             n,
-            [
-                {j: y for j, x in row.items() if (y := x * d[j] / d[i]) != 0}
-                for i, row in enumerate(m.float_rows())
-            ],
+            {
+                o: [x / den * dj / di if x else 0
+                    for x, di, dj in zip(xs, d[max(-o, 0):], d[max(o, 0):])]
+                for o, xs in m._diags.items()
+            },
             1,
             False,
         )

@@ -263,6 +263,27 @@ def test_inline_constants_match_preset(tmp_path):
     assert "reference_deltas" not in inline
 
 
+@pytest.mark.parametrize("subcommand, stage", [
+    ("repcheck", "repcheck"),
+    ("numeric", "numeric"),
+    ("compare", "compare"),
+    ("all", "repcheck"),
+])
+def test_q5_only_subcommand_refuses_inline_constants_up_front(
+        tmp_path, capsys, monkeypatch, subcommand, stage):
+    def no_stage(*args):
+        raise AssertionError("a stage ran before the preset was checked")
+
+    monkeypatch.setattr(cli, "_inline_algebra", no_stage)
+    monkeypatch.setattr(cli, "run_verify", no_stage)
+    cfg = tmp_path / "inline.ini"
+    cfg.write_text(INLINE_Q5)
+    assert cli.main([subcommand, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: %s needs the q5 preset\n" % stage
+
+
 def test_malformed_constant_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(INLINE_Q5.replace("alpha = 0", "alpha = h^"))
@@ -551,6 +572,14 @@ def test_repcheck_a7_stdout_matches_golden(capsys):
     # the exact residuals are pinned where the arithmetic is not integral
     assert cli.main(["repcheck", "--a", "7"]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "repcheck-a7.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_repcheck_a23_stdout_matches_golden(capsys):
+    # at a = 2/3, below 1, the float gauge rescales A, B and C over
+    # dens from 2 to 8, where at a = 1 only A has a den above 1
+    assert cli.main(["repcheck", "--a", "2/3"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "repcheck-a23.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

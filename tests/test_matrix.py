@@ -277,3 +277,98 @@ def test_entry_and_float_rows_round_as_float_of_a_fraction():
         Matrix([[Fraction(10 ** 400, 3)]]).float_rows()
     assert Matrix([[0.5, 2], [0, -1.5]]).float_rows() == [
         {0: 0.5, 1: 2.0}, {1: -1.5}]
+
+
+# --- bands: one-sided, pentadiagonal and corner diagonals, n up to 14 -------
+
+BANDS = {
+    "upper triangle": lambda n: range(0, n),
+    "strict lower triangle": lambda n: range(1 - n, 0),
+    "pentadiagonal": lambda n: range(-2, 3),
+    "corners": lambda n: (1 - n, n - 1),
+    "superdiagonal": lambda n: (1,),
+    "two below": lambda n: (-2, -1),
+}
+
+
+def band_rows(n, offsets, kind, draw):
+    """Dense rows with draw() on the diagonals j - i in offsets and
+    kind(0) elsewhere."""
+    offsets = set(offsets)
+    return [[draw() if j - i in offsets else kind(0) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", [Fraction, float])
+def test_bands_match_dense_formulas(kind):
+    rng = random.Random(20261020)
+
+    def draw():
+        if kind is Fraction:
+            return Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+        return random_scalar(rng, float)
+
+    for n in (1, 2, 3, 7, 14):
+        for left in BANDS.values():
+            for right in BANDS.values():
+                x = band_rows(n, left(n), kind, draw)
+                y = band_rows(n, right(n), kind, draw)
+                s = draw() or kind(3)
+                mx, my = Matrix(x), Matrix(y)
+                pairs = [
+                    (dense_mul(x, y), mx * my),
+                    (dense_mul(y, x), my * mx),
+                    (dense_add(x, y), mx + my),
+                    (dense_sub(x, y), mx - my),
+                    (dense_neg(x), -mx),
+                    (dense_scale(x, s), mx * s),
+                    (dense_scale(y, s), s * my),
+                    (dense_add(dense_mul(dense_mul(x, y), x),
+                               dense_scale(y, s)),
+                     mx * my * mx + s * my),
+                ]
+                for want, got in pairs:
+                    assert_same(want, got)
+                    built = Matrix(want)
+                    assert got == built and hash(got) == hash(built)
+                    if kind is Fraction:
+                        assert_lowest_terms(got)
+
+
+def test_zeros_inside_a_band_never_meet_an_inf():
+    # the skip-zeros formulas: a term with a zero factor, and a sum with
+    # a zero operand, are left out, so inf * 0 never makes a NaN
+    def skip_zeros_mul(x, y):
+        cols = list(zip(*y))
+        out = []
+        for row in x:
+            out_row = []
+            for col in cols:
+                terms = [a * b for a, b in zip(row, col) if a != 0 and b != 0]
+                total = terms[0] if terms else 0
+                for t in terms[1:]:
+                    total = total + t
+                out_row.append(total)
+            out.append(out_row)
+        return out
+
+    inf = math.inf
+    # tridiagonal, with zeros stored inside the band
+    x = [[inf, 0.0, 0.0], [0.0, 2.0, -inf], [0.0, 0.0, 1.0]]
+    y = [[1.0, 0.0, 0.0], [inf, 0.0, 3.0], [0.0, 0.5, 0.0]]
+    mx, my = Matrix(x), Matrix(y)
+    for want, got in ((skip_zeros_mul(x, y), mx * my),
+                      (skip_zeros_mul(y, x), my * mx),
+                      (skip_zeros_mul(x, x), mx * mx)):
+        for want_row, got_row in zip(want, got.rows):
+            for w, g in zip(want_row, got_row):
+                assert (math.isnan(w) and math.isnan(g)) or w == g
+    # the dense formulas make a NaN here, from inf * 0.0 inside the band
+    assert any(math.isnan(v) for row in dense_mul(x, y) for v in row)
+    assert not any(math.isnan(v) for row in (mx * my).rows for v in row)
+    z = [[1.0, 0.0], [0.0, 0.0]]
+    assert any(math.isnan(v) for row in dense_scale(z, inf) for v in row)
+    assert (Matrix(z) * inf).rows == ((inf, 0), (0, 0))
+    # a stored inf times a zero scalar is a NaN in every formula
+    assert math.isnan((mx * 0.0).rows[0][0])
+    assert (mx * 0.0).rows[0][1] == 0

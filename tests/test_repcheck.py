@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cubicalg import algebra, ladder, repcheck, spectrum
+from cubicalg import algebra, casimir, ladder, repcheck, spectrum
+from cubicalg.exactnum import PoleError
+from cubicalg.exactnum.nfunc import NFunc
 from cubicalg.exactnum.parser import parse
 from cubicalg.exactnum.polyfraction import PolyFraction
 from cubicalg.exactnum.symbols import SymbolTable
@@ -182,3 +184,129 @@ def test_gauge_residual_over_nan_entries_is_nan(q5):
     family = family_with_root(families, "-3")
     module, values = repcheck.q5_module(family, 0, 1, Fraction(3, 10 ** 41))
     assert math.isnan(repcheck.symmetric_gauge_residual(module, spec, values))
+
+
+# --- the float gauge against a dense reference ring ------------------------
+
+
+class Dense:
+    """Dense square matrices of floats, with the row-times-column
+    formulas: each product entry sums x * y over k in ascending order."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __add__(self, other):
+        return Dense([[x + y for x, y in zip(r, s)]
+                      for r, s in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return Dense([[x - y for x, y in zip(r, s)]
+                      for r, s in zip(self.rows, other.rows)])
+
+    def __mul__(self, other):
+        if isinstance(other, Dense):
+            cols = list(zip(*other.rows))
+            return Dense([[sum(x * y for x, y in zip(row, col))
+                           for col in cols] for row in self.rows])
+        return Dense([[x * other for x in row] for row in self.rows])
+
+    __rmul__ = __mul__
+
+
+def dense_gauge_residual(module, spec, values):
+    """symmetric_gauge_residual, computed over Dense."""
+    n = module.dimension
+    d = [1.0]
+    for i in range(n - 1):
+        d.append(d[-1] * math.sqrt(float(module.b.entry(i + 1, i))))
+
+    def conjugate(m):
+        return Dense([[float(x) * d[j] / d[i] for j, x in enumerate(row)]
+                      for i, row in enumerate(m.rows)])
+
+    a, b, c = (conjugate(m) for m in (module.a, module.b, module.c))
+    exact = {name: v.evaluate(values) for name, v in spec.as_dict().items()}
+    consts = {name: float(v) for name, v in exact.items()}
+    coeffs = {name: float(v)
+              for name, v in casimir.evaluate_coefficients(exact).items()}
+    one = Dense([[float(i == j) for j in range(n)] for i in range(n)])
+    linear, closure = casimir.relations(consts, a, b, c, one)
+    central = casimir.realize(coeffs, a, b, c) - float(module.k) * one
+    return max(abs(x) for m in (repcheck.comm(a, b) - c, linear, closure,
+                                central)
+               for row in m.rows for x in row)
+
+
+@pytest.mark.parametrize("a", [1, Fraction(2, 3), Fraction(3, 7)])
+def test_symmetric_gauge_matches_a_dense_ring_bit_for_bit(q5, a):
+    _, spec, families = q5
+    checked = 0
+    for family in families:
+        for p in range(21):
+            if not spectrum.unitarity_verdict(family, p).unitary:
+                continue
+            module, values = repcheck.q5_module(family, p, 1, a)
+            # an all-zero residual reads int 0, as max(..., default=0)
+            got = repcheck.symmetric_gauge_residual(module, spec, values)
+            got = float(got)
+            want = dense_gauge_residual(module, spec, values)
+            assert got.hex() == want.hex(), (family.energy.format(), p)
+            checked += 1
+    assert checked >= 40
+
+
+# --- _valued against the Fraction Horner it replaced ------------------------
+
+
+def fraction_horner(nf, values):
+    """The nu-function by Horner's rule in Fractions, poles divided out."""
+    num = [c.evaluate(values) for c in reversed(nf.num)]
+
+    def at(point):
+        for r, _ in nf.den:
+            if r == point:
+                raise PoleError("nu = %s is a pole" % (point,))
+        value = Fraction(0)
+        for c in num:
+            value = value * point + c
+        for r, m in nf.den:
+            value = value / (point - r) ** m
+        return value
+
+    return at
+
+
+POINTS = (0, 1, 3, 12, -1, -7, Fraction(1, 3), Fraction(-5, 2),
+          Fraction(7, 3), Fraction(-11, 6), Fraction(9, 8))
+
+
+def test_valued_matches_fraction_horner_on_q5_functions(q5):
+    sf, _, families = q5
+    real = sf.realization
+    for a in (1, Fraction(2, 3), Fraction(3, 7)):
+        for family in families:
+            _, values = repcheck.q5_module(family, 2, Fraction(5, 4), a)
+            for nf in (sf.phi, real.a_of_nu, real.b_of_nu, real.rho):
+                got, want = repcheck._valued(nf, values), fraction_horner(
+                    nf, values)
+                for point in POINTS:
+                    value = got(Fraction(point))
+                    assert type(value) is Fraction
+                    assert value == want(Fraction(point))
+
+
+def test_valued_matches_fraction_horner_with_poles():
+    table = SymbolTable(("E", "h"), atoms=("h",))
+    e = PolyFraction.sym(table, "E")
+    h = PolyFraction.sym(table, "h")
+    coeffs = [e * e - 3, h * Fraction(2, 7), e / h, Fraction(-5, 3)]
+    nf = NFunc(table, coeffs, [(Fraction(1, 2), 1), (Fraction(-3), 2)])
+    assert nf.den  # both poles stay: no root of the numerator cancels them
+    values = {"E": Fraction(-7, 5), "h": Fraction(3, 2)}
+    got, want = repcheck._valued(nf, values), fraction_horner(nf, values)
+    for point in POINTS:
+        assert got(Fraction(point)) == want(Fraction(point))
+    for pole in (Fraction(1, 2), Fraction(-3)):
+        with pytest.raises(PoleError):
+            got(pole)
