@@ -10,10 +10,10 @@ which probes the same relations under roundoff.
 """
 
 import math
+from math import gcd, lcm
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
 from operator import add, mul
 
 from . import casimir, spectrum
@@ -53,7 +53,8 @@ class Matrix:
     never meets an inf to make a NaN.
 
     rows gives the dense form, an exact entry as Fraction(x, den), and
-    == and hash compare values: Matrix([[0.5]]) == Matrix([[Fraction(1, 2)]]).
+    == and hash compare values:
+    Matrix([[0.5]]) == Matrix([[Fraction(1, 2)]]).
     """
 
     __slots__ = ("_size", "_diags", "den", "_exact")

@@ -331,6 +331,9 @@ def test_bands_match_dense_formulas(kind):
                     assert_same(want, got)
                     built = Matrix(want)
                     assert got == built and hash(got) == hash(built)
+                    sparse = [{j: v for j, v in enumerate(row) if v != 0}
+                              for row in want]
+                    assert Matrix.from_sparse(n, sparse) == built
                     if kind is Fraction:
                         assert_lowest_terms(got)
 
