@@ -17,12 +17,12 @@ from itertools import chain
 from operator import add, mul
 
 from . import casimir, spectrum
-from .casimir import acomm, comm  # noqa: F401  (acomm re-exported)
+from .casimir import comm
 from .exactnum import PoleError
 
 
 class Matrix:
-    """Square matrix over Fractions or floats, stored by its diagonals.
+    """Square matrix, exact or float, stored by its diagonals.
 
     The diagonal at offset o = j - i is one list whose entry t sits at
     row t - min(o, 0) and column t + max(o, 0), so t = min(i, j).  Only
@@ -32,32 +32,32 @@ class Matrix:
     operation is a few list operations per diagonal, or per pair of
     diagonals for a product, rather than a loop per entry.
 
-    An exact matrix (every entry an int or a Fraction) holds integer
-    numerators over one positive common denominator den, in lowest
-    terms: den and the numerators have gcd 1, so a value is stored one
-    way only.  A product multiplies the numerators and the two dens, a
-    sum scales both sides to the lcm of the dens, and a rational scalar
-    scales the numerators by its numerator and den by its denominator.
-    Each result then takes one gcd over den and its numerators, skipped
-    when den is 1, where Fraction entries would pay a gcd for every +
-    and *.
+    A matrix has one of two kinds.  An exact matrix (every entry an int
+    or a Fraction) holds integer numerators over one positive common
+    denominator den, in lowest terms: den and the numerators have gcd 1,
+    so a value is stored one way only.  A product multiplies the
+    numerators and the two dens, a sum scales both sides to the lcm of
+    the dens, and a rational scalar scales the numerators by its
+    numerator and den by its denominator.  Each result then takes one
+    gcd over den and its numerators, skipped when den is 1, where
+    Fraction entries would pay a gcd for every + and *.
 
-    Any other matrix, one with a float entry say, keeps den = 1 and its
-    entries as given, Fractions among them, and does the arithmetic of
-    its entries.  An exact matrix meets such a matrix or a float scalar
-    with its entries as Fraction(x, den).  So a float matrix does the
-    same float operations as a dense one: a product takes the left
-    offsets in ascending order, so each entry sums x * y over k in
-    ascending order.  A term or a sum with a zero operand is left out,
-    not computed, so a zero inside a band changes no nonzero float and
-    never meets an inf to make a NaN.
+    A float matrix (any other entry) holds float(x) for every entry and
+    den None; a zero that its arithmetic leaves may be held as int 0.  A
+    product takes the left offsets in ascending order, so each entry
+    sums x * y over k in ascending order, as the dense formulas do.  A
+    term with a zero factor is left out, not computed, so a zero inside
+    a band never meets an inf to make a NaN; adding a zero changes no
+    nonzero float.
 
-    rows gives the dense form, an exact entry as Fraction(x, den), and
-    == and hash compare values:
-    Matrix([[0.5]]) == Matrix([[Fraction(1, 2)]]).
+    The two kinds do not mix: +, - and * between an exact and a float
+    matrix, and an exact matrix times a float scalar, raise TypeError.
+    rows gives the dense form, an exact entry as Fraction(x, den) and
+    a float matrix with 0.0 off its nonzero entries, so
+    Matrix(m.rows) == m; == and hash compare kind and values.
     """
 
-    __slots__ = ("_size", "_diags", "den", "_exact")
+    __slots__ = ("_size", "_diags", "den")
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
@@ -70,18 +70,6 @@ class Matrix:
         })
 
     @classmethod
-    def from_sparse(cls, size, rows):
-        """Matrix from rows {column: value} in ascending column order
-        that hold no zero."""
-        diags = {}
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                if j - i not in diags:
-                    diags[j - i] = [0] * (size - abs(j - i))
-                diags[j - i][min(i, j)] = x
-        return cls._of(size, diags)
-
-    @classmethod
     def _of(cls, size, diags):
         """Matrix from diagonals {offset: entries} of any values."""
         m = object.__new__(cls)
@@ -90,87 +78,58 @@ class Matrix:
 
     def _store(self, size, diags):
         values = [x for d in diags.values() for x in d]
-        exact = all(isinstance(x, (int, Fraction)) for x in values)
-        den = 1
-        if exact:
+        if all(isinstance(x, (int, Fraction)) for x in values):
             # the lcm of reduced denominators leaves numerators with gcd 1
             den = lcm(*(x.denominator for x in values))
             diags = {
                 o: [x.numerator * (den // x.denominator) for x in d]
                 for o, d in diags.items()
             }
-        self._size, self.den, self._exact = size, den, exact
-        self._diags = _band(diags)
+        else:
+            den = None
+            diags = {o: [float(x) for x in d] for o, d in diags.items()}
+        self._size, self.den, self._diags = size, den, _band(diags)
 
     @classmethod
-    def _make(cls, size, diags, den=1, exact=True):
-        """Matrix from stored diagonals, all-zero ones dropped."""
-        m = object.__new__(cls)
-        m._size, m.den, m._exact = size, den, exact
-        m._diags = _band(diags)
-        return m
-
-    @classmethod
-    def _reduced(cls, size, diags, den):
-        """The exact matrix diags / den, brought to lowest terms."""
-        if den != 1:
+    def _make(cls, size, diags, den):
+        """Matrix from stored diagonals, all-zero ones dropped: floats
+        when den is None, else integer numerators over den, brought to
+        lowest terms."""
+        if den is not None and den != 1:
             g = gcd(den, *chain.from_iterable(diags.values()))
             if g != 1:
                 diags = {o: [x // g for x in d] for o, d in diags.items()}
                 den //= g
-        return cls._make(size, diags, den)
+        m = object.__new__(cls)
+        m._size, m.den, m._diags = size, den, _band(diags)
+        return m
 
     @classmethod
     def identity(cls, n):
-        return cls._make(n, {0: [1] * n})
+        return cls._make(n, {0: [1] * n}, 1)
 
     @classmethod
     def diagonal(cls, values):
         values = list(values)
         return cls._of(len(values), {0: values})
 
-    def _values(self):
-        """Diagonals of entry values, for arithmetic that is not exact."""
-        if not self._exact or self.den == 1:
-            return self._diags
-        den = self.den
-        return {
-            o: [Fraction(x, den) if x else 0 for x in d]
-            for o, d in self._diags.items()
-        }
-
-    def _cells(self):
-        """(row, column, stored value) of each nonzero entry, by
-        ascending offset."""
+    @property
+    def rows(self):
+        """Dense rows, a tuple of tuples with 0 (0.0 in a float matrix)
+        off the nonzero entries."""
+        n, den = self._size, self.den
+        dense = [[0.0 if den is None else 0] * n for _ in range(n)]
         for o, d in self._diags.items():
             for t, x in enumerate(d):
                 if x:
-                    yield t - min(o, 0), t + max(o, 0), x
-
-    @property
-    def rows(self):
-        """Dense rows, a tuple of tuples with 0 off the stored entries."""
-        n, den, exact = self._size, self.den, self._exact
-        dense = [[0] * n for _ in range(n)]
-        for i, j, x in self._cells():
-            dense[i][j] = Fraction(x, den) if exact else x
+                    dense[t - min(o, 0)][t + max(o, 0)] = (
+                        x if den is None else Fraction(x, den)
+                    )
         return tuple(map(tuple, dense))
 
-    def entry(self, i, j):
-        """The value at row i, column j."""
-        d = self._diags.get(j - i)
-        x = d[min(i, j)] if d else 0
-        return Fraction(x, self.den) if self._exact else x or 0
-
-    def float_rows(self):
-        """Sparse rows of floats.  An exact entry is x / den, rounded
-        once, as float(Fraction) rounds it; an underflow gives 0.0."""
-        den = self.den
-        convert = (lambda x: x / den) if self._exact else float
-        rows = [{} for _ in range(self._size)]
-        for i, j, x in self._cells():
-            rows[i][j] = convert(x)
-        return rows
+    def _same_kind(self, other):
+        if (self.den is None) is not (other.den is None):
+            raise TypeError("exact and float matrices do not mix")
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -179,76 +138,53 @@ class Matrix:
         return self._plus(other, -1)
 
     def _plus(self, other, sign):
-        if self._exact and other._exact:
+        self._same_kind(other)
+        den, mine, theirs = None, 1, sign
+        if self.den is not None:
             den = lcm(self.den, other.den)
-            mine = _scaled(self._diags, den // self.den)
-            theirs = _scaled(other._diags, sign * (den // other.den))
-            return Matrix._reduced(
-                self._size, _merged(mine, theirs, _int_sum), den
-            )
-        theirs = other if sign == 1 else -other
-        return Matrix._make(
-            self._size,
-            _merged(self._values(), theirs._values(), _nonzero_sum),
-            1,
-            False,
-        )
+            mine, theirs = den // self.den, sign * (den // other.den)
+        return Matrix._make(self._size, _merged(
+            _scaled(self._diags, mine), _scaled(other._diags, theirs)
+        ), den)
 
     def __neg__(self):
-        return Matrix._make(
-            self._size,
-            {o: [-x for x in d] for o, d in self._diags.items()},
-            self.den,
-            self._exact,
-        )
+        return self * -1
 
     def __mul__(self, other):
-        n = self._size
+        n, den = self._size, self.den
         if isinstance(other, Matrix):
-            if self._exact and other._exact:
-                return Matrix._reduced(
-                    n, _product(self._diags, other._diags, n, _int_products),
-                    self.den * other.den,
-                )
-            return Matrix._make(
-                n,
-                _product(self._values(), other._values(), n,
-                         _nonzero_products),
-                1,
-                False,
-            )
-        if self._exact and isinstance(other, (int, Fraction)):
-            k = other.numerator
-            return Matrix._reduced(
-                n,
-                {o: [x * k for x in d] for o, d in self._diags.items()},
-                self.den * other.denominator,
-            )
+            self._same_kind(other)
+            if den is None:
+                return Matrix._make(n, _product(
+                    self._diags, other._diags, n, _nonzero_products), None)
+            return Matrix._make(n, _product(
+                self._diags, other._diags, n, _int_products), den * other.den)
+        if den is None:
+            return Matrix._make(n, {
+                o: [x * other if x else 0 for x in d]
+                for o, d in self._diags.items()
+            }, None)
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError("an exact matrix takes an int or Fraction scalar")
+        k = other.numerator
         return Matrix._make(
             n,
-            {
-                o: [x * other if x else 0 for x in d]
-                for o, d in self._values().items()
-            },
-            1,
-            False,
+            {o: [x * k for x in d] for o, d in self._diags.items()},
+            den * other.denominator,
         )
 
     def __rmul__(self, other):
         return self * other
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix) or self._size != other._size:
-            return False
-        if self._exact and other._exact:
-            return self.den == other.den and self._diags == other._diags
-        return self._values() == other._values()
+        return (isinstance(other, Matrix) and self._size == other._size
+                and self.den == other.den and self._diags == other._diags)
 
     def __hash__(self):
-        # equal values hash alike across int, Fraction and float
         return hash((
             self._size,
-            tuple((o, tuple(d)) for o, d in self._values().items()),
+            self.den,
+            tuple((o, tuple(d)) for o, d in self._diags.items()),
         ))
 
     def is_zero(self):
@@ -256,9 +192,9 @@ class Matrix:
 
     def max_abs(self):
         values = (abs(x) for d in self._diags.values() for x in d if x)
-        if self._exact:
-            return Fraction(max(values, default=0), self.den)
-        return _max_or_nan(values)
+        if self.den is None:
+            return _max_or_nan(values)
+        return Fraction(max(values, default=0), self.den)
 
 
 def _band(diags):
@@ -272,22 +208,14 @@ def _scaled(diags, m):
     return {o: [x * m for x in d] for o, d in diags.items()}
 
 
-def _merged(left, right, plus):
-    """Diagonals of left + right, plus(x, y) adding two same-offset
-    diagonals."""
+def _merged(left, right):
+    """Diagonals of left + right.  A zero operand changes no nonzero
+    float, an inf or a NaN included, so no sum needs to skip it."""
     out = dict(left)
     for o, ys in right.items():
         xs = out.get(o)
-        out[o] = ys if xs is None else plus(xs, ys)
+        out[o] = ys if xs is None else list(map(add, xs, ys))
     return out
-
-
-def _int_sum(xs, ys):
-    return list(map(add, xs, ys))
-
-
-def _nonzero_sum(xs, ys):
-    return [x + y if x and y else x or y for x, y in zip(xs, ys)]
 
 
 def _int_products(xs, ys):
@@ -439,7 +367,7 @@ def _residuals(module, spec, values, a, b, c, scalar):
         name: scalar(v)
         for name, v in casimir.evaluate_coefficients(exact).items()
     }
-    one = Matrix.identity(module.dimension)
+    one = Matrix.diagonal([scalar(1)] * module.dimension)
     linear, closure = casimir.relations(consts, a, b, c, one)
     central = casimir.realize(coeffs, a, b, c) - scalar(module.k) * one
     return {"linear": linear, "closure": closure, "central": central}
@@ -459,17 +387,18 @@ def symmetric_gauge(module):
     two off-diagonals of B equal; it needs every interior amplitude to
     be positive, which is exactly unitarity of the module.
     """
-    n = module.dimension
+    n, b = module.dimension, module.b
     d = [1.0]
-    for i in range(n - 1):
-        up = module.b.entry(i + 1, i)
+    # B's lower diagonal, rho * Phi, as numerators over b.den
+    for up in b._diags.get(-1, [0] * (n - 1)):
         if up <= 0:
             raise ValueError("symmetric gauge needs positive amplitudes")
-        d.append(d[-1] * math.sqrt(float(up)))
+        d.append(d[-1] * math.sqrt(up / b.den))
 
     def conjugate(m):
-        # entry (i, j) is x / den, rounded as float_rows rounds it, times
-        # d[j] / d[i]; a zero entry stays zero even where d overflows
+        # entry (i, j) is x / den, rounded once as float(Fraction) rounds
+        # it, times d[j] / d[i]; a zero entry stays zero even where d
+        # overflows
         den = m.den
         return Matrix._make(
             n,
@@ -478,8 +407,7 @@ def symmetric_gauge(module):
                     for x, di, dj in zip(xs, d[max(-o, 0):], d[max(o, 0):])]
                 for o, xs in m._diags.items()
             },
-            1,
-            False,
+            None,
         )
 
     return conjugate(module.a), conjugate(module.b), conjugate(module.c)

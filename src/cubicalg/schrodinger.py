@@ -37,6 +37,7 @@ __all__ = [
     "sturm_count",
     "refined_levels",
     "x_levels_middle",
+    "L_OVER_A",
     "x_levels_outer",
     "y_levels_analytic",
     "MIN_GRID",
@@ -305,7 +306,12 @@ def x_levels_middle(count, a=1.0, n=2000):
     return refined_levels(lambda x: x_potential(x, a), -a, a, n, count)
 
 
-def x_levels_outer(count, a=1.0, n=2000, l_over_a=12.0):
+# The outer x well of q5_levels ends at an artificial wall at
+# L = L_OVER_A * a, far enough out that the harmonic tail has died off.
+L_OVER_A = 12.0
+
+
+def x_levels_outer(count, a=1.0, n=2000, l_over_a=L_OVER_A):
     """Levels of the walled slice outside the barriers, on (a, L).
 
     L = l_over_a * a; the wall at L is artificial, so keep it far
@@ -367,12 +373,12 @@ def check_float_range(a, cutoff):
         )
 
 
-def q5_levels(a=1.0, cutoff=6.0, n=2000, l_over_a=12.0):
+def q5_levels(a=1.0, cutoff=6.0, n=2000):
     """Sorted planar levels below cutoff from the separated slices.
 
     x levels come from the middle and outer Dirichlet wells (the outer
-    well is counted twice by mirror symmetry), y levels from the
-    analytic harmonic ladder.
+    well, on (a, L_OVER_A * a), is counted twice by mirror symmetry),
+    y levels from the analytic harmonic ladder.
     """
     if not math.isfinite(cutoff):
         raise ValueError("cutoff must be finite, got %r" % (cutoff,))
@@ -384,7 +390,7 @@ def q5_levels(a=1.0, cutoff=6.0, n=2000, l_over_a=12.0):
         return []
     vx = lambda x: x_potential(x, a)
     middle = _levels_below(vx, -a, a, n, bound)
-    outer = _levels_below(vx, a, l_over_a * a, n, bound)
+    outer = _levels_below(vx, a, L_OVER_A * a, n, bound)
     xs = sorted(middle + outer + outer)
     out = []
     for x in xs:

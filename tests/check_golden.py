@@ -1,12 +1,13 @@
-"""Byte-compare nine CLI outputs with their goldens, standard library only.
+"""Byte-compare ten CLI outputs with their goldens, standard library only.
 
 Runs `derive --format csv`, `spectrum --p-max 50`, `numeric --grid 500`,
 `numeric` (its default grid, 2000), `repcheck`, `repcheck --a 7`,
-`repcheck --a 2/3`, `verify-q5` and `compare --grid 500` through cli.main
-and compares their stdout and exit code with tests/golden/derive.csv,
-tests/golden/spectrum.json, tests/golden/numeric.json,
-tests/golden/numeric-2000.json, tests/golden/repcheck.json,
-tests/golden/repcheck-a7.json, tests/golden/repcheck-a23.json,
+`repcheck --a 2/3`, `repcheck --a 1e-14`, `verify-q5` and
+`compare --grid 500` through cli.main and compares their stdout and exit
+code with tests/golden/derive.csv, tests/golden/spectrum.json,
+tests/golden/numeric.json, tests/golden/numeric-2000.json,
+tests/golden/repcheck.json, tests/golden/repcheck-a7.json,
+tests/golden/repcheck-a23.json, tests/golden/repcheck-a1e-14.json,
 tests/golden/verify-q5.json and tests/golden/compare.json.  The two
 numeric cases pin the finite-difference levels float for float, on
 matrices of 500 to 8001 rows.  repcheck pins the exact modules and their
@@ -14,7 +15,10 @@ float gauges, which read the coefficients of the exact kernel; at a = 7
 the module entries have denominators from 49 to 7^6, so the exact
 residuals are pinned where the arithmetic is not integral; at a = 2/3,
 below 1, the float gauge rescales A, B and C over dens from 2 to 8, where
-at a = 1 only A has a den above 1.  verify-q5 pins the text of
+at a = 1 only A has a den above 1; at a = 1e-14, the smallest power of
+ten the float gauge takes, most gauge residuals lie between 1e+96 and
+1e+101, so the case exits 1 with the float path near the top of its
+range.  verify-q5 pins the text of
 all nine structure constants and of k; compare pins the per-p unitarity
 verdicts behind the predicted ladder and exits 1, because the
 criterion-10 gap between that ladder and the confined levels is
@@ -44,6 +48,7 @@ CASES = (
     (["repcheck"], "repcheck.json", 0),
     (["repcheck", "--a", "7"], "repcheck-a7.json", 0),
     (["repcheck", "--a", "2/3"], "repcheck-a23.json", 0),
+    (["repcheck", "--a", "1e-14"], "repcheck-a1e-14.json", 1),
     (["verify-q5"], "verify-q5.json", 0),
     (["compare", "--grid", "500"], "compare.json", 1),
 )

@@ -346,6 +346,8 @@ def test_a_out_of_float_range_exits_2(capsys, subcommand, a):
     ["repcheck", "--a", "1e-20"],
     ["repcheck", "--a", "1e-25"],
     ["repcheck", "--a", "1e-38"],
+    # the first power of ten refused: 1e-14 still passes as a golden
+    ["repcheck", "--a", "1e-15"],
 ])
 def test_float_overflow_past_a_exits_2(capsys, argv):
     # a passes RunConfig, but the family energies grow as 1/a^2 and the
@@ -580,6 +582,14 @@ def test_repcheck_a23_stdout_matches_golden(capsys):
     # dens from 2 to 8, where at a = 1 only A has a den above 1
     assert cli.main(["repcheck", "--a", "2/3"]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "repcheck-a23.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_repcheck_a1e14_stdout_matches_golden(capsys):
+    # at a = 1e-14, the smallest power of ten the float gauge takes, its
+    # residuals reach 1e+100, near the top of the float range, and fail
+    assert cli.main(["repcheck", "--a", "1e-14"]) == 1
+    golden = Path(__file__).resolve().parent / "golden" / "repcheck-a1e-14.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

@@ -118,7 +118,7 @@ def test_equal_matrices_built_differently_are_equal():
     built = [
         Matrix.identity(3),
         Matrix(rows),
-        Matrix.diagonal([1, Fraction(1), 1.0]),
+        Matrix.diagonal([1, Fraction(1), 1]),
         Matrix([[Fraction(v) for v in row] for row in rows]),
         Matrix.identity(3) * Matrix.identity(3),
         Matrix.identity(3) + Matrix(rows) - Matrix.identity(3),
@@ -129,7 +129,7 @@ def test_equal_matrices_built_differently_are_equal():
         assert m == built[0]
         assert hash(m) == hash(built[0])
     zero = Matrix([[0, 0], [0, 0]])
-    assert Matrix([[0.0, -0.0], [Fraction(0), 0]]) == zero
+    assert Matrix([[0.0, -0.0], [0.0, 0.0]]) == Matrix([[0.0] * 2] * 2)
     m = Matrix([[1, 2], [3, 4]])
     assert m - m == zero and (m - m).is_zero() and (m - m).max_abs() == 0
     assert m * 0 == zero
@@ -190,18 +190,24 @@ def test_mixed_denominators_match_dense_fractions_in_lowest_terms():
                 for want, got in exact:
                     assert_same(want, got)
                     assert_lowest_terms(got)
-                # a float scalar or a float matrix meets the exact values
-                # as Fractions, with the bits of the dense formulas; f
-                # holds no zero, which the sparse forms would skip
-                f = random_rows(rng, n, "dense", float)
-                mf = Matrix(f)
-                assert_same(dense_scale(x, 0.1), mx * 0.1)
-                assert_same(dense_scale(x, 0.1), 0.1 * mx)
-                assert_same(dense_add(x, f), mx + mf)
-                assert_same(dense_sub(f, x), mf - mx)
-                assert_same(dense_mul(x, f), mx * mf)
-                assert_same(dense_mul(f, x), mf * mx)
 
+
+def test_exact_and_float_kinds_do_not_mix():
+    # the float side would read the exact numerators without their den:
+    # 0.5 * (1/7) read 0.5 and 0.5 + 1/7 read 1.5
+    exact, fl = Matrix([[Fraction(1, 7)]]), Matrix([[0.5]])
+    mixed = (
+        lambda: exact + fl, lambda: fl + exact,
+        lambda: exact - fl, lambda: fl - exact,
+        lambda: exact * fl, lambda: fl * exact,
+        lambda: exact * 0.5, lambda: 0.5 * exact,
+    )
+    for operation in mixed:
+        with pytest.raises(TypeError):
+            operation()
+    # a float matrix takes a rational scalar, which rounds as float does
+    assert (fl * Fraction(1, 7)).rows == ((0.5 * Fraction(1, 7),),)
+    assert Matrix([[0.5]]) != Matrix([[Fraction(1, 2)]])
 
 
 def test_results_reduce_to_den_1():
@@ -220,63 +226,6 @@ def test_results_reduce_to_den_1():
         [[Fraction(9, 49), Fraction(18, 7)], [0, Fraction(-27, 343)]])
     assert scaled.den == 7
     assert scaled.rows == ((1, 14), (0, Fraction(-3, 7)))
-
-
-def test_equal_values_are_equal_across_int_float_and_fraction():
-    half = [
-        Matrix([[0.5]]),
-        Matrix([[Fraction(1, 2)]]),
-        Matrix.diagonal([0.5]),
-        Matrix.identity(1) * Fraction(1, 2),
-        Matrix.identity(1) * 0.5,
-        Matrix([[Fraction(3, 2)]]) - Matrix.identity(1),
-        Matrix([[0.25]]) + Matrix([[Fraction(1, 4)]]),
-    ]
-    for m in half:
-        assert m == half[0] and half[0] == m
-        assert hash(m) == hash(half[0])
-    rows = [[1, 0.25], [Fraction(-3, 4), 2]]
-    same = [[1.0, Fraction(1, 4)], [-0.75, Fraction(2)]]
-    assert Matrix(rows) == Matrix(same)
-    assert hash(Matrix(rows)) == hash(Matrix(same))
-    assert Matrix([[Fraction(1, 2), 0], [0, 3]]) == Matrix(
-        [[0.5, 0.0], [0.0, 3.0]])
-    # no float is one third
-    assert Matrix([[Fraction(1, 3)]]) != Matrix([[1 / 3]])
-    assert Matrix([[Fraction(1, 2)]]) != Matrix([[Fraction(1, 3)]])
-
-
-def test_a_matrix_with_a_float_keeps_its_entries_as_given():
-    rows = [[0.5, Fraction(1, 3)], [Fraction(2, 7), 1]]
-    m = Matrix(rows)
-    assert m.den == 1
-    assert m.rows == ((0.5, Fraction(1, 3)), (Fraction(2, 7), 1))
-    assert type(m.rows[0][1]) is Fraction
-    # no zero entry, which the sparse forms would skip and the dense
-    # formulas would turn into a float 0.0 term
-    exact = Matrix([[Fraction(1, 6), Fraction(2, 5)],
-                    [Fraction(-1, 7), Fraction(5, 3)]])
-    x = [list(r) for r in exact.rows]
-    assert_same(dense_mul(rows, x), m * exact)
-    assert_same(dense_mul(x, rows), exact * m)
-    assert_same(dense_add(rows, x), m + exact)
-    assert_same(dense_sub(x, rows), exact - m)
-    assert_same(dense_scale(rows, Fraction(2, 3)), m * Fraction(2, 3))
-
-
-def test_entry_and_float_rows_round_as_float_of_a_fraction():
-    big = Fraction(10 ** 300, 7)
-    m = Matrix([[Fraction(1, 3), big], [Fraction(1, 10 ** 400), 0]])
-    assert m.entry(0, 1) == big and m.entry(1, 1) == 0
-    rows = m.float_rows()
-    assert rows[0] == {0: float(Fraction(1, 3)), 1: float(big)}
-    assert rows[1] == {0: 0.0}
-    with pytest.raises(OverflowError):
-        float(Fraction(10 ** 400, 3))
-    with pytest.raises(OverflowError):
-        Matrix([[Fraction(10 ** 400, 3)]]).float_rows()
-    assert Matrix([[0.5, 2], [0, -1.5]]).float_rows() == [
-        {0: 0.5, 1: 2.0}, {1: -1.5}]
 
 
 # --- bands: one-sided, pentadiagonal and corner diagonals, n up to 14 -------
@@ -331,9 +280,6 @@ def test_bands_match_dense_formulas(kind):
                     assert_same(want, got)
                     built = Matrix(want)
                     assert got == built and hash(got) == hash(built)
-                    sparse = [{j: v for j, v in enumerate(row) if v != 0}
-                              for row in want]
-                    assert Matrix.from_sparse(n, sparse) == built
                     if kind is Fraction:
                         assert_lowest_terms(got)
 
