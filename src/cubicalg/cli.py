@@ -80,12 +80,6 @@ class RunConfig:
                 raise ConfigError(
                     "%s must be finite and positive, got %r" % (name, value)
                 )
-        try:
-            schrodinger.check_level_budget(self.a, Fraction(self.cutoff),
-                                           self.grid)
-            schrodinger.check_float_range(self.a, self.cutoff)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
         if self.fmt not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
 
@@ -414,6 +408,8 @@ def run_repcheck(cfg, run=None):
                     )
                 except OverflowError:
                     worst = math.inf
+                except ZeroDivisionError:
+                    raise ConfigError("a too large: the float gauge underflows")
                 if not math.isfinite(worst):
                     raise ConfigError("a too small: the float gauge overflows")
                 ok = ok and worst <= 1e-10
@@ -601,6 +597,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
+        # the FD wells' budget, refused up front where levels are solved
+        if args.subcommand in ("numeric", "compare", "all"):
+            try:
+                schrodinger.check_level_budget(cfg.a, Fraction(cfg.cutoff),
+                                               cfg.grid)
+                schrodinger.check_float_range(cfg.a, cfg.cutoff)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
         # the first stage that reads the q5 operators, refused up front
         stage = {"all": "repcheck"}.get(args.subcommand, args.subcommand)
         if cfg.preset != "q5" and stage in ("repcheck", "numeric", "compare"):

@@ -105,10 +105,6 @@ class Matrix:
         return m
 
     @classmethod
-    def identity(cls, n):
-        return cls._make(n, {0: [1] * n}, 1)
-
-    @classmethod
     def diagonal(cls, values):
         values = list(values)
         return cls._of(len(values), {0: values})

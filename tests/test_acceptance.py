@@ -330,8 +330,10 @@ def test_criterion_10_numeric_cross_validation():
 
     confined_x = []
     wells = (
-        ("middle", schrodinger.x_levels_middle(5), -1.0, 1.0, 1),
-        ("outer", schrodinger.x_levels_outer(5), 1.0, 12.0, 2),
+        ("middle", schrodinger.refined_levels(
+            schrodinger.x_potential, -1.0, 1.0, 2000, 5), -1.0, 1.0, 1),
+        ("outer", schrodinger.refined_levels(
+            schrodinger.x_potential, 1.0, 12.0, 2000, 5), 1.0, 12.0, 2),
     )
     for name, walled, lo, hi, copies in wells:
         dirichlet = schrodinger.refined_levels(oscillator, lo, hi, 2000, 6)

@@ -323,6 +323,38 @@ def test_level_budget_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["spectrum", "derive", "verify-q5"])
+def test_subcommands_without_fd_wells_take_any_a(capsys, subcommand):
+    # at a = 12 the FD level budget is over its cap, but these solve no well
+    assert cli.main([subcommand, "--a", "12"]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subcommand", ["numeric", "compare", "all"])
+def test_fd_level_budget_is_refused_before_any_stage(
+        capsys, monkeypatch, subcommand):
+    def no_stage(cfg):
+        raise AssertionError("a stage ran before the level budget was checked")
+
+    monkeypatch.setitem(cli.RUNNERS, subcommand, no_stage)
+    assert cli.main([subcommand, "--a", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cutoff 6.0 at grid 2000")
+    assert "over the cap of 10000000" in captured.err
+
+
+def test_float_underflow_past_a_exits_2(capsys):
+    # the float gauge's amplitudes shrink as 1/a^2 and underflow to 0
+    assert cli.main(["repcheck", "--a", "1e21"]) == 0
+    capsys.readouterr()
+    assert cli.main(["repcheck", "--a", "1e22"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: a too large: the float gauge underflows\n")
+
+
 def test_grid_below_the_minimum_exits_2(capsys):
     for grid in ("3", "49"):
         assert cli.main(["numeric", "--grid", grid]) == 2

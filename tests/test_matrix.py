@@ -116,14 +116,14 @@ def test_rows_round_trip(kind):
 def test_equal_matrices_built_differently_are_equal():
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     built = [
-        Matrix.identity(3),
+        Matrix.diagonal([1] * 3),
         Matrix(rows),
         Matrix.diagonal([1, Fraction(1), 1]),
         Matrix([[Fraction(v) for v in row] for row in rows]),
-        Matrix.identity(3) * Matrix.identity(3),
-        Matrix.identity(3) + Matrix(rows) - Matrix.identity(3),
-        -(-Matrix.identity(3)),
-        Fraction(1, 2) * Matrix.identity(3) * 2,
+        Matrix.diagonal([1] * 3) * Matrix.diagonal([1] * 3),
+        Matrix.diagonal([1] * 3) + Matrix(rows) - Matrix.diagonal([1] * 3),
+        -(-Matrix.diagonal([1] * 3)),
+        Fraction(1, 2) * Matrix.diagonal([1] * 3) * 2,
     ]
     for m in built:
         assert m == built[0]
@@ -135,7 +135,7 @@ def test_equal_matrices_built_differently_are_equal():
     assert m * 0 == zero
     assert Matrix.diagonal([0, 0]) == zero
     assert m != Matrix([[1, 2], [3, 5]])
-    assert Matrix.identity(2) != Matrix.identity(3)
+    assert Matrix.diagonal([1] * 2) != Matrix.diagonal([1] * 3)
 
 
 def test_non_square_rows_are_refused():
@@ -217,11 +217,11 @@ def test_results_reduce_to_den_1():
     assert six.den == 1 and six == Matrix([[3, 2], [5, 0]])
     y = Matrix([[Fraction(3, 2), Fraction(1, 3)], [Fraction(5, 6), 1]])
     diff = y - x
-    assert diff.den == 1 and diff == Matrix.identity(2)
+    assert diff.den == 1 and diff == Matrix.diagonal([1] * 2)
     assert (x - x).den == 1 and (x - x).is_zero()
     prod = Matrix.diagonal([Fraction(2, 3), Fraction(7, 2)]) * Matrix.diagonal(
         [Fraction(3, 2), Fraction(2, 7)])
-    assert prod.den == 1 and prod == Matrix.identity(2)
+    assert prod.den == 1 and prod == Matrix.diagonal([1] * 2)
     scaled = Fraction(49, 9) * Matrix(
         [[Fraction(9, 49), Fraction(18, 7)], [0, Fraction(-27, 343)]])
     assert scaled.den == 7

@@ -6,6 +6,8 @@ from itertools import islice
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicalg import schrodinger as sch
 from cubicalg import weylop
@@ -161,6 +163,43 @@ def test_replay_gives_the_same_floats_on_degenerate_tridiagonals(tol):
         assert list(sch._eigenvalues(t, tol)) == reference_eigenvalues(t, tol)
 
 
+@st.composite
+def small_tridiag(draw):
+    # repeated diagonal values behind zero couplings give exact
+    # degeneracies, couplings of 1e-12 split them far under any tol
+    n = draw(st.integers(1, 12))
+    value = st.floats(-5.0, 5.0, allow_nan=False)
+    diag = draw(st.lists(
+        st.sampled_from((1.0, -2.0, 0.0, 1.0 + 1e-12)) | value,
+        min_size=n, max_size=n))
+    off = draw(st.lists(
+        st.sampled_from((0.0, 0.0, 1e-12, 1.0)) | value,
+        min_size=n - 1, max_size=n - 1))
+    return sch.TridiagMatrix(tuple(diag), tuple(off))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((1e-3, 1e-10, 1e-14)))
+def test_hints_never_move_a_level(data, tol):
+    t = data.draw(small_tridiag())
+    want = reference_eigenvalues(t, tol)
+    lo, hi = sch._gershgorin(t)
+    gaps = [0.5 * (x + y) for x, y in zip(want, want[1:])]
+    hint = (
+        st.none()
+        | st.sampled_from(want)                      # on a level
+        | st.sampled_from(gaps or want)              # between two levels
+        | st.sampled_from((lo, hi, lo - 1.0, hi + 1.0, -1e300, 1e300,
+                           math.inf, -math.inf, math.nan))
+        | st.floats(-10.0, 10.0)
+    )
+    # any hint for any level, in the wrong gap included, and fewer or
+    # more hints than levels
+    hints = data.draw(st.lists(hint, max_size=t.size + 2))
+    assert list(sch._eigenvalues(t, tol, hints)) == want
+    assert list(sch._eigenvalues(t, tol, iter(hints))) == want
+
+
 def symmetric_double_well():
     # two unit-depth halves of (-1, 1) behind a barrier of 2e4 on
     # |x| < 0.2, mirrored entry for entry: the pairs under the barrier
@@ -216,15 +255,21 @@ def test_sturm_count_is_monotone_in_lam_on_q5_wells(lo, hi):
 
 
 def test_q5_levels_sweep_budget(monkeypatch):
-    # plain bisection took 564 sweeps here; the Newton brackets about 210
-    sweeps = []
-    for name in ("sturm_count", "_sturm_newton"):
+    # plain bisection took 564 sweeps here and Newton brackets from the
+    # first isolating midpoint 206; seeding each level (the fine grid's
+    # from the coarse grid, the coarse grid's from the levels below it)
+    # takes 89, so an estimate that stops reaching the solver shows here
+    sweeps = {"_sturm_count": 0, "_sturm_newton": 0}
+    for name in sweeps:
         real = getattr(sch, name)
-        monkeypatch.setattr(
-            sch, name,
-            lambda *args, real=real: sweeps.append(args[2]) or real(*args))
+
+        def counted(*args, name=name, real=real):
+            sweeps[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sch, name, counted)
     sch.q5_levels(1.0, 6.0, 2000)
-    assert 0 < len(sweeps) <= 300
+    assert sweeps == {"_sturm_count": 42, "_sturm_newton": 47}
 
 
 def test_box_calibration():
@@ -261,7 +306,7 @@ def test_potential_matches_exact_operator_suite():
 
 
 def test_middle_well_reference():
-    got = sch.x_levels_middle(3)
+    got = sch.refined_levels(sch.x_potential, -1.0, 1.0, 2000, 3)
     # the well floor sits at V(0) = 2, so levels live above it; the
     # quartic trial profile caps the ground level at 4.52
     assert 2.0 < got[0] < 4.52
@@ -270,17 +315,12 @@ def test_middle_well_reference():
 
 
 def test_outer_well_reference():
-    got = sch.x_levels_outer(4)
+    got = sch.refined_levels(sch.x_potential, 1.0, 12.0, 2000, 4)
     frozen = [1.95056580, 3.10024088, 4.22487137, 5.33390453]
     assert max(abs(g - f) for g, f in zip(got, frozen)) < 1e-5
-    near = sch.x_levels_outer(3, l_over_a=8.0)
-    far = sch.x_levels_outer(3, l_over_a=16.0)
+    near = sch.refined_levels(sch.x_potential, 1.0, 8.0, 2000, 3)
+    far = sch.refined_levels(sch.x_potential, 1.0, 16.0, 2000, 3)
     assert max(abs(n - f) for n, f in zip(near, far)) < 1e-4
-
-
-def test_outer_requires_wide_box():
-    with pytest.raises(ValueError):
-        sch.x_levels_outer(3, l_over_a=6.0)
 
 
 def test_grid_refinement_convergence_witness():
