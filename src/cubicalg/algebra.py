@@ -149,20 +149,16 @@ def hamiltonian_powers(suite, top):
     return powers
 
 
-def scalar_to_operator(value, suite=None, powers=None):
+def scalar_to_operator(value, suite, powers):
     """Map a polynomial in the energy to the matching operator.
 
     value is a PolyFraction over the master table, polynomial in E with
-    coefficients in the scales; E becomes the Hamiltonian.  powers, when
-    given, is hamiltonian_powers(suite, top) for a top at least value's
-    degree in E.
+    coefficients in the scales; E becomes the Hamiltonian.  powers is
+    hamiltonian_powers(suite, top) for a top at least value's degree
+    in E.
     """
-    if suite is None:
-        suite = weylop.suite()
     coeffs = value.univariate_in("E")
-    if powers is None:
-        powers = hamiltonian_powers(suite, len(coeffs) - 1)
-    elif len(powers) < len(coeffs):
+    if len(powers) < len(coeffs):
         raise ValueError("need H powers up to %d" % (len(coeffs) - 1))
     out = weylop.DiffOp.zero(suite.table)
     for c, h_power in zip(coeffs, powers):

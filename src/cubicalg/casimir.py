@@ -142,12 +142,11 @@ def normalize(poly, rules):
     return {w: c for w, c in out.items() if not upoly.is_zero(c)}
 
 
-def verify_jacobi(consts, rules=None):
-    """Normal order the jacobiator of A, B, C; nonzero means the rules are
-    not confluent (the overlap CBA resolves two ways), so the constants
-    are inconsistent.
+def verify_jacobi(rules):
+    """Normal order the jacobiator of A, B, C under the rules of
+    _rewrites; nonzero means the rules are not confluent (the overlap CBA
+    resolves two ways), so the constants are inconsistent.
     """
-    rules = _rewrites(consts) if rules is None else rules
     a, b, c = _generators(rules, 1)
     total = comm(a, comm(b, c)) + comm(b, comm(c, a)) + comm(c, comm(a, b))
     if not total.is_zero():
@@ -186,7 +185,7 @@ def casimir_coefficients():
     table = SymbolTable(CONSTANT_NAMES)
     consts = {name: MultiPoly.sym(table, name) for name in CONSTANT_NAMES}
     rules = _rewrites(consts)
-    verify_jacobi(consts, rules)
+    verify_jacobi(rules)
     a, b, c = _generators(rules, MultiPoly.const(table, 1))
     aa, bb = a * a, b * b
     rows_by_key = {}

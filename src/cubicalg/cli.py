@@ -265,8 +265,8 @@ def _rises_to_a_float(energy, cfg):
     return True
 
 
-def _energy_entry(energy, cfg, samples=(0, 1, 2)):
-    numeric = {"p=%d" % s: _float_energy(energy, cfg, s) for s in samples}
+def _energy_entry(energy, cfg):
+    numeric = {"p=%d" % p: _float_energy(energy, cfg, p) for p in (0, 1, 2)}
     return {"text": energy.format(), "numeric_at": numeric}
 
 
@@ -619,8 +619,13 @@ def main(argv=None):
         return 1
     text = render(args.subcommand, doc, cfg.fmt)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("config error: cannot write output: %s" % exc,
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if doc["passed"] else 1

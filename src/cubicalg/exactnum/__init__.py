@@ -10,12 +10,7 @@ from .errors import (
     SymbolTableMismatch,
 )
 from .interpolate import lagrange
-from .linsolve import (
-    InconsistentSystem,
-    RankDeficientSystem,
-    solve_exact,
-    solve_fractions,
-)
+from .linsolve import InconsistentSystem, RankDeficientSystem, solve_exact
 from .multipoly import MultiPoly
 from .nfunc import NFunc
 from .parser import parse
@@ -39,5 +34,4 @@ __all__ = [
     "lagrange",
     "parse",
     "solve_exact",
-    "solve_fractions",
 ]

@@ -1,4 +1,7 @@
-"""Exact linear solving over polynomial and rational entries.
+"""Exact linear solving over polynomial entries.
+
+A system with rational entries is solved as one over constant
+polynomials of the table with no symbols.
 
 Forward elimination is fraction free in the Bareiss style, so every
 intermediate entry stays a polynomial (a minor of the original matrix)
@@ -21,8 +24,6 @@ content's denominator P divides; those systems are eliminated in full.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import CubicalgError
 from .multipoly import MultiPoly
@@ -207,33 +208,3 @@ def _bareiss(rows, rhs):
         acc_d = acc_d * work[i][i]
         solution[i] = _simplify_ratio(acc_n, acc_d)
     return solution
-
-
-def solve_fractions(rows, rhs):
-    """Dense exact solve over Fractions; same error contract."""
-    m = len(rows)
-    if m == 0:
-        raise ValueError("empty system")
-    n = len(rows[0])
-    work = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(rank, m):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise RankDeficientSystem("no pivot for column %d" % col)
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        piv = work[rank][col]
-        work[rank] = [v / piv for v in work[rank]]
-        for r in range(m):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    for r in range(rank, m):
-        if work[r][n] != 0:
-            raise InconsistentSystem("residual row %d is nonzero" % r)
-    return [work[i][n] for i in range(n)]

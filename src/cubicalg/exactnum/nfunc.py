@@ -214,7 +214,7 @@ class NFunc:
             scale = scale * (point - r) ** m
         return value * (1 / scale)
 
-    def format(self, var="nu"):
+    def format(self):
         if not self.num:
             return "0"
         bits = []
@@ -225,15 +225,15 @@ class NFunc:
             if k == 0:
                 bits.append("(%s)" % c.format())
             elif k == 1:
-                bits.append("(%s)*%s" % (c.format(), var))
+                bits.append("(%s)*nu" % c.format())
             else:
-                bits.append("(%s)*%s^%d" % (c.format(), var, k))
+                bits.append("(%s)*nu^%d" % (c.format(), k))
         text = " + ".join(bits)
         if not self.den:
             return text
         dparts = []
         for r, m in self.den:
-            base = var if r == 0 else "(%s - %s)" % (var, r) if r > 0 else "(%s + %s)" % (var, -r)
+            base = "nu" if r == 0 else "(nu - %s)" % r if r > 0 else "(nu + %s)" % -r
             dparts.append(base if m == 1 else "%s^%d" % (base, m))
         return "(%s) / (%s)" % (text, "*".join(dparts))
 

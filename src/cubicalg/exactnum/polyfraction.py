@@ -84,16 +84,10 @@ class PolyFraction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_rational(self):
-        return self.num.is_rational() and not any(self.den)
-
     def as_fraction(self):
         if any(self.den):
             raise ValueError("value has a denominator: %s" % self.format())
         return self.num.as_fraction()
-
-    def is_polynomial(self):
-        return not any(self.den)
 
     @classmethod
     def coerce(cls, table, value):

@@ -62,9 +62,6 @@ class PhiPoly:
     def __neg__(self):
         return PhiPoly(-self.scalar, {j: -c for j, c in self.linear.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scaled(self, factor):
         factor = NFunc.coerce(self.table, factor)
         return PhiPoly(
@@ -103,13 +100,6 @@ class PhiPoly:
             out = out + coeff * phi.shift(j)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, PhiPoly):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
 
 class LadderExpr:
     """Linear combination of ladder monomials.
@@ -123,10 +113,6 @@ class LadderExpr:
     def __init__(self, table, parts):
         self.table = table
         self.parts = {m: f for m, f in parts.items() if not f.is_zero()}
-
-    @classmethod
-    def zero(cls, table):
-        return cls(table, {})
 
     @classmethod
     def from_scalar(cls, table, value):
@@ -242,7 +228,6 @@ class Realization:
     a_of_nu: NFunc
     b_of_nu: NFunc
     rho: NFunc
-    delta_a: NFunc
 
 
 def derive_realization(spec):
@@ -268,7 +253,6 @@ def derive_realization(spec):
             - Fraction(1, 8) * spec.beta
             - spec.delta * inv_beta * Fraction(1, 2)
         )
-        delta_a = NFunc(table, [half_beta, spec.beta])
         # 2 beta A + delta = beta^2 (nu - 1/2)(nu + 1/2)
         inv_den = NFunc(
             table,
@@ -289,7 +273,7 @@ def derive_realization(spec):
             [rho_scale],
             [(Fraction(0), 1), (Fraction(-1), 1), (Fraction(-1, 2), 2)],
         )
-        return Realization("quadratic", a_of_nu, b_of_nu, rho, delta_a)
+        return Realization("quadratic", a_of_nu, b_of_nu, rho)
     if spec.delta.is_zero():
         raise UnsupportedCase(
             "beta = delta = 0 leaves no ladder: C would vanish"
@@ -302,7 +286,6 @@ def derive_realization(spec):
             "delta = %s has no exact square root" % spec.delta.format()
         ) from None
     a_of_nu = root * nu_var
-    delta_a = NFunc.const(table, root)
     b_of_nu = NFunc(
         table,
         [
@@ -312,7 +295,7 @@ def derive_realization(spec):
         ],
     )
     rho = NFunc.const(table, 1)
-    return Realization("linear", a_of_nu, b_of_nu, rho, delta_a)
+    return Realization("linear", a_of_nu, b_of_nu, rho)
 
 
 @dataclass(frozen=True)
@@ -325,10 +308,8 @@ class StructureFunction:
     phi: NFunc
 
 
-def generators(spec, realization=None):
+def generators(spec, realization):
     """Ladder expressions for A, B and C = [A, B]."""
-    if realization is None:
-        realization = derive_realization(spec)
     table = spec.table
     a_expr = LadderExpr.from_scalar(table, realization.a_of_nu)
     b_expr = (

@@ -5,11 +5,11 @@ slice in x whose inverse-square barriers at x = +-a are impenetrable,
 so the x problem splits into three independent Dirichlet wells and the
 outer two are mirror images.  Planar levels are sums of one x level
 and one y level.  Each eigenvalue of the three-point discretization is
-the float that bisection from the Gershgorin interval to width tol
-gives for it alone, with a Sturm count at each midpoint.  That float
-Sturm count is monotone in the shift (Kahan 1966; Demmel, Dhillon and
-Ren 1995), so a point swept once decides every midpoint on its side,
-for every level of the matrix.  The solver replays each level's
+the float that bisection from the Gershgorin interval to width
+LEVEL_TOL gives for it alone, with a Sturm count at each midpoint.
+That float Sturm count is monotone in the shift (Kahan 1966; Demmel,
+Dhillon and Ren 1995), so a point swept once decides every midpoint on
+its side, for every level of the matrix.  The solver replays each level's
 bisection against the points swept so far and sweeps only the
 midpoints no known point decides.  Newton steps on det(T - lam) put
 known points tightly around each level first, so the replay needs few
@@ -37,7 +37,6 @@ __all__ = [
     "CompareReport",
     "x_potential",
     "y_potential",
-    "potential",
     "discretize",
     "sturm_count",
     "refined_levels",
@@ -55,21 +54,14 @@ __all__ = [
 ]
 
 
-def x_potential(x, a=1.0, hbar=1.0):
-    """Harmonic confinement plus the two inverse-square walls."""
-    s = hbar * hbar
-    return s * (
-        x * x / (8.0 * a ** 4) + 1.0 / (x - a) ** 2 + 1.0 / (x + a) ** 2
-    )
+def x_potential(x, a=1.0):
+    """Harmonic confinement plus the two inverse-square walls, in units
+    with hbar = mass = 1."""
+    return x * x / (8.0 * a ** 4) + 1.0 / (x - a) ** 2 + 1.0 / (x + a) ** 2
 
 
-def y_potential(y, a=1.0, hbar=1.0):
-    return hbar * hbar * y * y / (8.0 * a ** 4)
-
-
-def potential(x, y, a=1.0, hbar=1.0):
-    """The full planar potential of the two-wall system."""
-    return x_potential(x, a, hbar) + y_potential(y, a, hbar)
+def y_potential(y, a=1.0):
+    return y * y / (8.0 * a ** 4)
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,8 @@ class TridiagMatrix:
 
 
 def discretize(v: Callable[[float], float], grid: Grid1D) -> TridiagMatrix:
-    """Three-point discretization of -psi''/2 + v psi with hbar = mass = 1.
+    """Three-point discretization of -psi''/2 + v psi, in the units of
+    x_potential.
 
     Dirichlet walls sit at the grid endpoints; the potential must be
     finite at every interior node.
@@ -377,7 +370,11 @@ def _eigenvalues(t: TridiagMatrix, tol: float, hints=()):
         yield 0.5 * (a + b)
 
 
-def _refined(v, lo, hi, n, tol):
+# Every FD level is the bisection's float to this width.
+LEVEL_TOL = 1e-10
+
+
+def _refined(v, lo, hi, n):
     """Dirichlet levels at steps h and h/2, Richardson-extrapolated
     (second order), lowest first.
 
@@ -387,8 +384,10 @@ def _refined(v, lo, hi, n, tol):
     """
     grid = discretize(v, Grid1D(lo, hi, n))
     coarse = []
-    fine = _eigenvalues(discretize(v, Grid1D(lo, hi, 2 * n + 1)), tol, coarse)
-    for c in _eigenvalues(grid, tol, _extrapolated(coarse)):
+    fine = _eigenvalues(
+        discretize(v, Grid1D(lo, hi, 2 * n + 1)), LEVEL_TOL, coarse
+    )
+    for c in _eigenvalues(grid, LEVEL_TOL, _extrapolated(coarse)):
         coarse.append(c)
         yield (4.0 * next(fine) - c) / 3.0
 
@@ -406,17 +405,17 @@ def _extrapolated(levels):
             yield None
 
 
-def refined_levels(v, lo, hi, n, count, tol=1e-10):
+def refined_levels(v, lo, hi, n, count):
     """The count lowest Richardson-refined Dirichlet eigenvalues."""
     if not 0 < count <= n:
         raise ValueError("eigenvalue count out of range")
-    return list(islice(_refined(v, lo, hi, n, tol), count))
+    return list(islice(_refined(v, lo, hi, n), count))
 
 
-def _levels_below(v, lo, hi, n, bound, tol=1e-10):
+def _levels_below(v, lo, hi, n, bound):
     """Richardson-refined levels strictly below bound, lowest first."""
     out = []
-    for val in _refined(v, lo, hi, n, tol):
+    for val in _refined(v, lo, hi, n):
         if val >= bound:
             break
         out.append(val)

@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 from . import algebra, ladder
 from .errors import SingularSystem, UndecidedSign, UnresolvedFactor
-from .exactnum import upoly
+from .exactnum import MultiPoly, SymbolTable, upoly
 from .exactnum.errors import ExactDivisionError
 from .exactnum.interpolate import lagrange
-from .exactnum.linsolve import InconsistentSystem, RankDeficientSystem, solve_fractions
+from .exactnum.linsolve import InconsistentSystem, RankDeficientSystem, solve_exact
 from .exactnum.nfunc import NFunc
 from .exactnum.polyfraction import PolyFraction
 
@@ -181,14 +181,27 @@ def _axis_weight(value, axis_index):
     return weight
 
 
-def _scaling_terms(coeffs, param):
+def _solve_rational(rows, rhs):
+    """solve_exact over the constants of a table with no symbols:
+    Fraction rows in, Fraction values out."""
+    table = SymbolTable(())
+
+    def const(value):
+        return MultiPoly.const(table, value)
+
+    pairs = solve_exact([[const(v) for v in row] for row in rows],
+                        [const(v) for v in rhs])
+    return [num.as_fraction() / den.as_fraction() for num, den in pairs]
+
+
+def _scaling_terms(coeffs):
     """(k, d, coefficient) triples of Phi split by energy degree."""
     terms = []
     for k, c in enumerate(coeffs):
         if c.is_zero():
             continue
-        if param in c.table.symbols:
-            parts = c.univariate_in(param)
+        if ENERGY_SYMBOL in c.table.symbols:
+            parts = c.univariate_in(ENERGY_SYMBOL)
         else:
             parts = [c]
         for d, part in enumerate(parts):
@@ -197,15 +210,15 @@ def _scaling_terms(coeffs, param):
     return terms
 
 
-def _detect_grading(coeffs, param):
+def _detect_grading(coeffs):
     """Scaling weights (axes, omega, gamma) consistent with Phi.
 
-    Each term phi_{k,d} nu^k param^d must be a rational monomial over
-    the remaining symbols, and the exponents must satisfy
+    Each term phi_{k,d} nu^k E^d must be a rational monomial over the
+    remaining symbols, and the exponents must satisfy
     weight + k*omega + d*gamma = const for one choice of the weight
-    omega of nu and gamma of the parameter.
+    omega of nu and gamma of the energy E.
     """
-    terms = _scaling_terms(coeffs, param)
+    terms = _scaling_terms(coeffs)
     # collect every symbol that shows up in any term
     names = set()
     for _, _, part in terms:
@@ -220,7 +233,7 @@ def _detect_grading(coeffs, param):
             if name is None:
                 raise UnresolvedFactor("denominator atom is not a bare symbol")
             names.add(name)
-    names.discard(param)
+    names.discard(ENERGY_SYMBOL)
     axes = tuple(sorted(names))
     zero = [Fraction(0)] * len(axes)
     if not axes:
@@ -252,7 +265,7 @@ def _detect_grading(coeffs, param):
     for ax in range(len(axes)):
         rhs = [-w[ax] for _, _, w in rows]
         try:
-            solution = solve_fractions(matrix, rhs)
+            solution = _solve_rational(matrix, rhs)
         except (RankDeficientSystem, InconsistentSystem) as exc:
             raise UnresolvedFactor("no consistent scaling weight") from exc
         position = 0
@@ -280,12 +293,12 @@ def _axis_monomial(table, axes, exponents):
     return out
 
 
-def _lift_candidate(table, fit, param, axes, omega, gamma):
+def _lift_candidate(table, fit, axes, omega, gamma):
     """Restore the scaling monomials on a root fitted at axes = 1."""
     out = PolyFraction.const(table, 0)
     base = (
-        PolyFraction.sym(table, param)
-        if param in table.symbols
+        PolyFraction.sym(table, ENERGY_SYMBOL)
+        if ENERGY_SYMBOL in table.symbols
         else PolyFraction.const(table, 0)
     )
     for d, c in enumerate(fit):
@@ -300,16 +313,17 @@ def _lift_candidate(table, fit, param, axes, omega, gamma):
     return out
 
 
-def _sampled_roots(coeffs, param, point):
+def _sampled_roots(coeffs, point):
     table = coeffs[0].table
     mapping = {
-        name: (point if name == param else Fraction(1)) for name in table.symbols
+        name: (point if name == ENERGY_SYMBOL else Fraction(1))
+        for name in table.symbols
     }
     flat = [c.evaluate(mapping) for c in coeffs]
     return upoly.rational_roots(flat)
 
 
-def branch_roots(phi, param=ENERGY_SYMBOL):
+def branch_roots(phi):
     """Zeros of Phi as exact functions of the energy, with multiplicity.
 
     Roots are recovered in layers: rational roots of sampled instances
@@ -337,13 +351,13 @@ def branch_roots(phi, param=ENERGY_SYMBOL):
             raise UnresolvedFactor("no rational split of %s" % phi.format())
         return tuple(found)
 
-    axes, omega, gamma = _detect_grading(coeffs, param)
-    has_param = param in table.symbols and any(
-        c.num.degree_in(param) > 0 for c in coeffs
+    axes, omega, gamma = _detect_grading(coeffs)
+    has_energy = ENERGY_SYMBOL in table.symbols and any(
+        c.num.degree_in(ENERGY_SYMBOL) > 0 for c in coeffs
     )
-    max_fit = 2 if has_param else 0
+    max_fit = 2 if has_energy else 0
     samples = [
-        (e, _sampled_roots(coeffs, param, e))
+        (e, _sampled_roots(coeffs, e))
         for e in SAMPLE_POINTS[: max_fit + 1]
     ]
 
@@ -361,7 +375,7 @@ def branch_roots(phi, param=ENERGY_SYMBOL):
             fit = lagrange(combo)
             if len(fit) != fit_degree + 1 and fit_degree:
                 continue
-            lifted = _lift_candidate(table, fit, param, axes, omega, gamma)
+            lifted = _lift_candidate(table, fit, axes, omega, gamma)
             if lifted is not None:
                 candidates.add(lifted)
         for cand in sorted(candidates, key=lambda pf: pf.format()):
@@ -421,7 +435,7 @@ def _factor_levels(phi_x, known):
     return lead, tuple(roots), residual
 
 
-def energy_families(phi, param=ENERGY_SYMBOL):
+def energy_families(phi):
     """Every module family obtained by pairing zeros of Phi.
 
     Returns (branches, families, pinned).  A branch pair whose spacing
@@ -433,7 +447,7 @@ def energy_families(phi, param=ENERGY_SYMBOL):
     table = phi.table
     if LEVEL_SYMBOL not in table.symbols:
         raise ValueError("level symbol %r is not in the table" % LEVEL_SYMBOL)
-    branches = branch_roots(phi, param)
+    branches = branch_roots(phi)
     level_sym = PolyFraction.sym(table, LEVEL_SYMBOL)
     families = []
     pinned = []
@@ -442,8 +456,8 @@ def energy_families(phi, param=ENERGY_SYMBOL):
             if i == j:
                 continue
             gap = bj.root - bi.root
-            if param in table.symbols:
-                parts = gap.univariate_in(param)
+            if ENERGY_SYMBOL in table.symbols:
+                parts = gap.univariate_in(ENERGY_SYMBOL)
             else:
                 parts = [gap]
             if len(parts) > 2:
@@ -463,7 +477,7 @@ def energy_families(phi, param=ENERGY_SYMBOL):
                 energy = (level_sym + 1 - c0) * c1.invert()
             except ExactDivisionError:
                 continue
-            subs = {param: energy}
+            subs = {ENERGY_SYMBOL: energy}
             phi_e = NFunc.from_coeffs(
                 table, [c.substitute(subs) for c in phi.coefficients()]
             )
@@ -478,13 +492,13 @@ def energy_families(phi, param=ENERGY_SYMBOL):
     return branches, tuple(families), tuple(pinned)
 
 
-def family_instance(family, p_value, level=LEVEL_SYMBOL):
+def family_instance(family, p_value):
     """The family at one concrete p, with Phi at x = 0 .. p + 1."""
     p_value = int(p_value)
     if p_value < 0:
         raise ValueError("p must be a nonnegative integer")
     table = family.phi_levels.table
-    subs = {level: Fraction(p_value)}
+    subs = {LEVEL_SYMBOL: Fraction(p_value)}
     phi = NFunc.from_coeffs(
         table, [c.substitute(subs) for c in family.phi_levels.coefficients()]
     )
@@ -580,13 +594,14 @@ def unitarity_decision(family):
     return Decision(eventual, exceptions)
 
 
-def complete_truncation(phi, u, p, unknowns=("k", "zeta")):
-    """Choose the named constants so Phi(u) = 0 = Phi(u + p + 1).
+def complete_truncation(phi, u, p):
+    """Choose k and zeta so Phi(u) = 0 = Phi(u + p + 1).
 
-    Phi must be affine in the named symbols with rational data; the two
+    Phi must be affine in k and zeta with rational data; the two
     truncation conditions then form a square linear system.  Raises
-    SingularSystem when the pair of conditions cannot fix the unknowns.
+    SingularSystem when the pair of conditions cannot fix k and zeta.
     """
+    unknowns = ("k", "zeta")
     u = Fraction(u)
     p = int(p)
     if p < 0:
@@ -607,7 +622,7 @@ def complete_truncation(phi, u, p, unknowns=("k", "zeta")):
         matrix.append(row)
         rhs.append(-rest.as_fraction())
     try:
-        solution = solve_fractions(matrix, rhs)
+        solution = _solve_rational(matrix, rhs)
     except RankDeficientSystem as exc:
         raise SingularSystem(
             "truncation pair does not determine %s" % (unknowns,)

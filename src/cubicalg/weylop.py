@@ -146,39 +146,10 @@ class DiffOp:
             return NotImplemented
         return lifted * self
 
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            raise ValueError("negative operator power")
-        out = DiffOp.from_scalar(self.table, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
         return self.table == other.table and self.parts == other.parts
-
-    def format(self):
-        if not self.parts:
-            return "0"
-        xname, yname = self.table.symbols[0], self.table.symbols[1]
-        bits = []
-        for key in sorted(self.parts, reverse=True):
-            nx, ny = key
-            label = ""
-            if nx:
-                label += " d%s" % xname if nx == 1 else " d%s^%d" % (xname, nx)
-            if ny:
-                label += " d%s" % yname if ny == 1 else " d%s^%d" % (yname, ny)
-            bits.append("(%s)%s" % (self.parts[key].format(), label))
-        return " + ".join(bits)
-
-    __str__ = format
-
-    def __repr__(self):
-        return "DiffOp(%s)" % self.format()
 
 
 def q5_symbol_table():
@@ -198,7 +169,6 @@ class OperatorSuite:
     first_integral: DiffOp
     second_integral: DiffOp
     commutator: DiffOp
-    angular_sign: int
     identities: tuple = ("[H,A]", "[H,B]", "[H,[A,B]]")
 
 
@@ -220,7 +190,7 @@ def build_suite():
 
     The third-order integral involves the angular momentum, whose overall
     sign convention is fixed by requiring [H, B] = 0; both signs are
-    tried and the surviving one is recorded.  Raises NotConserved when
+    tried and the first that passes builds B.  Raises NotConserved when
     an identity fails.
     """
     table = q5_symbol_table()
@@ -260,7 +230,7 @@ def build_suite():
             c_op = comm(first, second)
             if not comm(hamiltonian, c_op).is_zero():
                 raise NotConserved("commutator of integrals is not conserved")
-            return OperatorSuite(table, hamiltonian, first, second, c_op, sign)
+            return OperatorSuite(table, hamiltonian, first, second, c_op)
     raise NotConserved(
         "second integral fails to commute for both angular momentum signs"
     )

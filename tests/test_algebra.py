@@ -7,6 +7,7 @@ import pytest
 from cubicalg import weylop
 from cubicalg.algebra import (
     AlgebraSpec,
+    hamiltonian_powers,
     jacobi_reduce,
     master_table,
     q5_algebra,
@@ -127,7 +128,8 @@ def test_transfer_scalar_rejects_an_odd_power_of_g():
 def test_scalar_to_operator_maps_energy_to_hamiltonian():
     master = master_table()
     suite = weylop.suite()
-    op = scalar_to_operator(parse("E^2 - 2*h^2*E", master), suite)
+    op = scalar_to_operator(parse("E^2 - 2*h^2*E", master), suite,
+                            hamiltonian_powers(suite, 2))
     h = suite.hamiltonian
     two = PolyFraction.const(suite.table, 2)
     hh = parse("-g^2", suite.table)

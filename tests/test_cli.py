@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import check_golden
 from cubicalg import algebra, cli, repcheck, schrodinger, spectrum, weylop
 from cubicalg.exactnum import NFunc, PolyFraction, parse
 
@@ -575,6 +576,18 @@ def test_rational_a_scales_energies(tmp_path):
     assert 6.0 in samples and -4.0 in samples
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # a missing directory, or a directory itself: once the run is done
+    # the file cannot be opened, which is one config-error line
+    assert cli.main(["derive", "--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write output: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_out_file_keeps_stdout_quiet(tmp_path, capsys):
     out = tmp_path / "quiet.json"
     code = cli.main(["verify-q5", "--out", str(out)])
@@ -583,79 +596,13 @@ def test_out_file_keeps_stdout_quiet(tmp_path, capsys):
     assert json.loads(out.read_text())["passed"] is True
 
 
-def test_derive_csv_matches_golden(tmp_path):
-    # derive emits only exact rational text, so the stored golden is
-    # stable across platforms and Python versions
-    code, out = run_main(["derive", "--format", "csv"], tmp_path)
-    assert code == 0
-    golden = Path(__file__).resolve().parent / "golden" / "derive.csv"
-    assert out.read_bytes() == golden.read_bytes()
-
-
-def test_repcheck_stdout_matches_golden(capsys):
-    # every exact residual prints as "0" and every float gauge residual
-    # as %.3e of correctly rounded float arithmetic, so the stored
-    # stdout pins both gauges entry for entry
-    assert cli.main(["repcheck"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "repcheck.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_repcheck_a7_stdout_matches_golden(capsys):
-    # at a = 7 the module matrices carry denominators from 49 to 7^6, so
-    # the exact residuals are pinned where the arithmetic is not integral
-    assert cli.main(["repcheck", "--a", "7"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "repcheck-a7.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_repcheck_a23_stdout_matches_golden(capsys):
-    # at a = 2/3, below 1, the float gauge rescales A, B and C over
-    # dens from 2 to 8, where at a = 1 only A has a den above 1
-    assert cli.main(["repcheck", "--a", "2/3"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "repcheck-a23.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_repcheck_a1e14_stdout_matches_golden(capsys):
-    # at a = 1e-14, the smallest power of ten the float gauge takes, its
-    # residuals reach 1e+100, near the top of the float range, and fail
-    assert cli.main(["repcheck", "--a", "1e-14"]) == 1
-    golden = Path(__file__).resolve().parent / "golden" / "repcheck-a1e-14.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_spectrum_stdout_matches_golden(capsys):
-    # every verdict and every for-all-p decision of the q5 catalog at
-    # p_max = 50, pinned byte for byte
-    assert cli.main(["spectrum", "--p-max", "50"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "spectrum.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_verify_q5_stdout_matches_golden(capsys):
-    # the text of all nine structure constants and of k derived from
-    # the operator suite, pinned byte for byte
-    assert cli.main(["verify-q5"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "verify-q5.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_numeric_stdout_matches_golden(capsys):
-    # the finite-difference levels and both calibrations at grid 500,
-    # pinned byte for byte: a faster eigenvalue search must return the
-    # same floats, not merely close ones
-    assert cli.main(["numeric", "--grid", "500"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "numeric.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_default_numeric_stdout_matches_golden(capsys):
-    # numeric at its default grid 2000 solves matrices of 2000, 4001
-    # and 8001 rows, where most levels take the Newton bracket; pinned
-    # byte for byte like grid 500
-    assert cli.main(["numeric"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "numeric-2000.json"
+@pytest.mark.parametrize("argv, name, expected", check_golden.CASES,
+                         ids=[name for _, name, _ in check_golden.CASES])
+def test_stdout_matches_golden(capsys, argv, name, expected):
+    # the stdout bytes and exit code of every case of check_golden.py,
+    # whose docstring says what each one pins
+    assert cli.main(argv) == expected
+    golden = check_golden.GOLDEN / name
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
@@ -727,14 +674,6 @@ def test_compare_sweeps_do_not_grow_with_p_max(tmp_path, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_compare_stdout_matches_golden(capsys):
-    # the predicted ladder against the confined levels at grid 500; the
-    # exit code is 1 because the criterion-10 gap is reported, not hidden
-    assert cli.main(["compare", "--grid", "500"]) == 1
-    golden = Path(__file__).resolve().parent / "golden" / "compare.json"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
 def test_verify_q5_reports_the_identities_of_the_suite(monkeypatch, capsys):
     # build_suite proves [H,A], [H,B] and [H,[A,B]] zero; verify-q5
     # reports them without computing any commutator again
@@ -746,7 +685,7 @@ def test_verify_q5_reports_the_identities_of_the_suite(monkeypatch, capsys):
 
     monkeypatch.setattr(weylop, "comm", refused)
     assert cli.main(["verify-q5"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / "verify-q5.json"
+    golden = check_golden.GOLDEN / "verify-q5.json"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

@@ -131,12 +131,11 @@ def test_q5_realization_is_linear_case():
     assert real.a_of_nu == NFunc(master, [0, parse("h^2/a^2", master)])
     assert real.b_of_nu.is_zero()
     assert real.rho == NFunc.const(master, 1)
-    assert real.delta_a == NFunc.const(master, parse("h^2/a^2", master))
 
 
 def test_q5_commutator_generator():
     q = q5_algebra()
-    _, _, c_expr = generators(q.spec)
+    _, _, c_expr = generators(q.spec, derive_realization(q.spec))
     master = master_table()
     step = parse("h^2/a^2", master)
     assert c_expr.offsets() == [-1, 1]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicalg import algebra, casimir
+from cubicalg import algebra, casimir, spectrum
 from cubicalg.exactnum import (
     InconsistentSystem,
     MultiPoly,
@@ -12,7 +12,6 @@ from cubicalg.exactnum import (
     SymbolTable,
     linsolve,
     solve_exact,
-    solve_fractions,
 )
 from cubicalg.exactnum.polyfraction import _P, _point
 
@@ -151,17 +150,18 @@ def test_q5_systems_take_the_square_path(monkeypatch):
                       (223, 5, True)]
 
 
-class TestSolveFractions:
+class TestRationalSystems:
+    """Fraction systems, as spectrum solves them: solve_exact over the
+    constants of a table with no symbols."""
+
     def test_square(self):
-        rows = [[1, 2], [3, 4]]
-        rhs = [5, 6]
-        x = solve_fractions(rows, rhs)
+        x = spectrum._solve_rational([[1, 2], [3, 4]], [5, 6])
         assert x == [Fraction(-4), Fraction(9, 2)]
 
     def test_overdetermined_inconsistent(self):
         with pytest.raises(InconsistentSystem):
-            solve_fractions([[1], [1]], [1, 2])
+            spectrum._solve_rational([[1], [1]], [1, 2])
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficientSystem):
-            solve_fractions([[0, 1], [0, 2]], [1, 2])
+            spectrum._solve_rational([[0, 1], [0, 2]], [1, 2])

@@ -298,7 +298,7 @@ def test_potential_matches_exact_operator_suite():
     for x, y in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(7, 2), Fraction(-1, 4))):
         # the suite writes g = -i*h; here h = 1
         values = {"x": x, "y": y, "g": -1j, "a": 1}
-        want = sch.potential(float(x), float(y))
+        want = sch.x_potential(float(x)) + sch.y_potential(float(y))
         got = scalar.evaluate(values)
         assert got.imag == 0 and abs(got.real - want) < 1e-12
         assert kin_x.evaluate(values) == Fraction(-1, 2)

@@ -43,14 +43,6 @@ def test_wall_terms_differentiate_exactly():
     assert comm(dx, wall).parts[(0, 0)] == parse("-2/(x-a)^3", table)
 
 
-def test_power_matches_repeated_product():
-    table = q5_symbol_table()
-    dx = DiffOp(table, {(1, 0): parse("1", table)})
-    x = DiffOp.from_scalar(table, parse("x", table))
-    op = x * dx + dx * x
-    assert op**3 == op * op * op
-
-
 def test_integrals_of_motion_commute_with_hamiltonian(suite):
     h = suite.hamiltonian
     assert comm(h, suite.first_integral).is_zero()
