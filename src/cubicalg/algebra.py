@@ -23,20 +23,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import casimir, weylop
+from ._memo import once
 from .errors import CubicalgError, JacobiViolation
 from .exactnum import MultiPoly, PolyFraction, SymbolTable, parse
 
 MASTER_SYMBOLS = ("E", "h", "a", "u", "p", "x")
 
-_MASTER = None
 
-
+@once
 def master_table():
     """Shared table: energy, two positive scales, and level parameters."""
-    global _MASTER
-    if _MASTER is None:
-        _MASTER = SymbolTable(MASTER_SYMBOLS, atoms=("h", "a"))
-    return _MASTER
+    return SymbolTable(MASTER_SYMBOLS, atoms=("h", "a"))
 
 
 CONSTANT_NAMES = casimir.CONSTANT_NAMES
@@ -99,7 +96,7 @@ def jacobi_reduce(values, table=None):
     return AlgebraSpec(table=table, **out)
 
 
-# weylop.build_suite writes g for -i*h
+# weylop.suite writes g for -i*h
 _ROTATED = {"g": "h", "h": "g"}
 
 
@@ -178,9 +175,7 @@ class DerivedAlgebra:
     casimir_scalars: dict
 
 
-_Q5 = None
-
-
+@once
 def q5_algebra():
     """Derive the cubic algebra of the two-wall system, cached.
 
@@ -189,9 +184,6 @@ def q5_algebra():
     and must agree; the casimir value follows by expressing the central
     element over Hamiltonian powers.
     """
-    global _Q5
-    if _Q5 is not None:
-        return _Q5
     suite = weylop.suite()
     H = suite.hamiltonian
     A = suite.first_integral
@@ -288,7 +280,7 @@ def q5_algebra():
     k_value = transfer_scalar(k_parts["one"], master)
     for n in range(1, 5):
         k_value = k_value + transfer_scalar(k_parts["H%d" % n], master) * energy ** n
-    _Q5 = DerivedAlgebra(
+    return DerivedAlgebra(
         spec=spec,
         k=k_value,
         closure_coefficients={
@@ -299,4 +291,3 @@ def q5_algebra():
         },
         casimir_scalars=scalars,
     )
-    return _Q5

@@ -25,6 +25,7 @@ term is a free direction of the centralizer and is normalized to zero.
 
 from __future__ import annotations
 
+from ._memo import once
 from .errors import CubicalgError, JacobiViolation
 from .exactnum import (
     InconsistentSystem,
@@ -170,18 +171,13 @@ _BASIS = {
 }
 BASIS_NAMES = tuple(_BASIS)
 
-_COEFFS = None
-
-
+@once
 def casimir_coefficients():
     """Casimir coefficients as polynomials in the nine constants.
 
     Returns {basis name: MultiPoly over the constants table}.  The
     element C^2 + sum coeff * basis commutes with A and B identically.
     """
-    global _COEFFS
-    if _COEFFS is not None:
-        return _COEFFS
     table = SymbolTable(CONSTANT_NAMES)
     consts = {name: MultiPoly.sym(table, name) for name in CONSTANT_NAMES}
     rules = _rewrites(consts)
@@ -229,7 +225,6 @@ def casimir_coefficients():
             raise CubicalgError(
                 "central element verification failed against %s" % name
             )
-    _COEFFS = coeffs
     return coeffs
 
 

@@ -15,10 +15,13 @@ config, including a ConfigError or a ParseError.
 
 import argparse
 import configparser
+import errno
 import io
 import json
 import math
+import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -169,8 +172,27 @@ def build_config(args):
         fmt = args.format
     if args.out:
         out = args.out
+    if out:
+        _check_writable(out)
     return RunConfig(preset, inline, k_text, p_max, a, grid, cutoff, tol,
                      fmt, out)
+
+
+def _check_writable(path):
+    """Refuse an output path whose file cannot be opened for writing: a
+    directory, or a file whose directory is missing or is not one.  The
+    file itself is neither created nor truncated."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise ConfigError("cannot write output: %s"
+                      % OSError(code, os.strerror(code), path))
 
 
 def _inline_algebra(cfg):
@@ -198,13 +220,20 @@ def _inline_algebra(cfg):
     return spec, k
 
 
-class _Run:
-    """The stages that the runners of one run share, each computed on
-    first use and then read by every runner that needs it, so that
-    `all` builds the families and solves the FD wells once."""
+class Run:
+    """One invocation: its config, and every stage its runners share,
+    each built on first use and then read by every runner that needs
+    it, so that `all` builds each stage once."""
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self._docs = {}
+
+    def doc(self, subcommand):
+        """The document of one subcommand, built on the first request."""
+        if subcommand not in self._docs:
+            self._docs[subcommand] = RUNNERS[subcommand](self)
+        return self._docs[subcommand]
 
     @cached_property
     def structure_function(self):
@@ -217,10 +246,6 @@ class _Run:
     def families(self):
         """(branches, families, pinned) of Phi."""
         return spectrum.energy_families(self.structure_function.phi)
-
-    @cached_property
-    def numeric(self):
-        return run_numeric(self.cfg)
 
 
 def _energy_values(energy, cfg, p):
@@ -270,8 +295,8 @@ def _energy_entry(energy, cfg):
     return {"text": energy.format(), "numeric_at": numeric}
 
 
-def run_verify(cfg):
-    # build_suite proves each identity once and raises NotConserved when
+def run_verify(run):
+    # weylop.suite proves each identity once and raises NotConserved when
     # one fails, so the suite holds every identity it names
     checks = [{"check": "%s = 0" % label, "ok": True}
               for label in weylop.suite().identities]
@@ -287,8 +312,8 @@ def run_verify(cfg):
     }
 
 
-def run_derive(cfg, run=None):
-    sf = (run or _Run(cfg)).structure_function
+def run_derive(run):
+    sf = run.structure_function
     real = sf.realization
     coeffs = [c.format() for c in sf.phi.coefficients()]
     phi = {"degree": sf.phi.degree(), "coefficients": coeffs}
@@ -312,7 +337,7 @@ def run_derive(cfg, run=None):
         "phi": phi,
         "passed": True,
     }
-    if cfg.preset == "q5":
+    if run.cfg.preset == "q5":
         deltas = []
         if phi.get("lead") != REFERENCE_PHI_LEAD:
             deltas.append({
@@ -332,8 +357,9 @@ def run_derive(cfg, run=None):
     return doc
 
 
-def run_spectrum(cfg, run=None):
-    branches, families, pinned = (run or _Run(cfg)).families
+def run_spectrum(run):
+    cfg = run.cfg
+    branches, families, pinned = run.families
     rows = []
     for fam in families:
         decision = spectrum.unitarity_decision(fam)
@@ -380,8 +406,8 @@ def run_spectrum(cfg, run=None):
     }
 
 
-def run_repcheck(cfg, run=None):
-    run = run or _Run(cfg)
+def run_repcheck(run):
+    cfg = run.cfg
     sf = run.structure_function
     branches, families, _ = run.families
     rows = []
@@ -423,7 +449,8 @@ def run_repcheck(cfg, run=None):
     return {"residuals": rows, "passed": ok}
 
 
-def run_numeric(cfg):
+def run_numeric(run):
+    cfg = run.cfg
     a = float(cfg.a)
     levels = schrodinger.q5_levels(a, cutoff=cfg.cutoff, n=cfg.grid)
     box = schrodinger.box_ground(cfg.grid)
@@ -451,11 +478,12 @@ def run_numeric(cfg):
     }
 
 
-def _predictions(cfg, run):
+def _predictions(run):
     """(label, float energy) of every unitary module up to p_max whose
     energy is at most the cutoff.  A family whose energy rises stops at
     its first unitary p over the cutoff; a falling one is swept to
     p_max."""
+    cfg = run.cfg
     preds = []
     branches, families, _ = run.families
     for fam in families:
@@ -473,12 +501,11 @@ def _predictions(cfg, run):
     return preds
 
 
-def run_compare(cfg, run=None):
+def run_compare(run):
     """Line the predictions up with the FD levels."""
-    run = run or _Run(cfg)
-    numeric = run.numeric
-    preds = _predictions(cfg, run)
-    report = schrodinger.compare(preds, numeric["levels"], cfg.tol)
+    numeric = run.doc("numeric")
+    preds = _predictions(run)
+    report = schrodinger.compare(preds, numeric["levels"], run.cfg.tol)
     return {
         "comparison": [asdict(r) for r in report.rows],
         "unmatched_numeric": list(report.unmatched),
@@ -486,29 +513,26 @@ def run_compare(cfg, run=None):
     }
 
 
-def run_all(cfg):
-    run = _Run(cfg)
-    doc = {
-        "verify": run_verify(cfg),
-        "derive": run_derive(cfg, run),
-        "spectrum": run_spectrum(cfg, run),
-        "repcheck": run_repcheck(cfg, run),
-        "numeric": run.numeric,
-    }
-    doc["compare"] = run_compare(cfg, run)
+def run_all(run):
+    doc = {stage.key: run.doc(stage.name) for stage in STAGES}
     doc["passed"] = all(part["passed"] for part in doc.values())
     return doc
 
 
-RUNNERS = {
-    "verify-q5": run_verify,
-    "derive": run_derive,
-    "spectrum": run_spectrum,
-    "repcheck": run_repcheck,
-    "numeric": run_numeric,
-    "compare": run_compare,
-    "all": run_all,
-}
+# `all`'s stages in order: each subcommand, its runner, its key in the
+# document, whether it reads the q5 operators and whether it solves the
+# FD wells.
+Stage = namedtuple("Stage", "name runner key needs_q5 solves_wells")
+STAGES = (
+    Stage("verify-q5", run_verify, "verify", False, False),
+    Stage("derive", run_derive, "derive", False, False),
+    Stage("spectrum", run_spectrum, "spectrum", False, False),
+    Stage("repcheck", run_repcheck, "repcheck", True, False),
+    Stage("numeric", run_numeric, "numeric", True, True),
+    Stage("compare", run_compare, "compare", True, True),
+)
+RUNNERS = {stage.name: stage.runner for stage in STAGES}
+RUNNERS["all"] = run_all
 
 
 def _csv_rows(subcommand, doc):
@@ -559,12 +583,9 @@ def _csv_rows(subcommand, doc):
         return rows
     # all: concatenate the per-stage tables under comment markers
     rows = []
-    keys = (("verify-q5", "verify"), ("derive", "derive"),
-            ("spectrum", "spectrum"), ("repcheck", "repcheck"),
-            ("numeric", "numeric"), ("compare", "compare"))
-    for name, key in keys:
-        rows.append(("# " + name,))
-        rows.extend(_csv_rows(name, doc[key]))
+    for stage in STAGES:
+        rows.append(("# " + stage.name,))
+        rows.extend(_csv_rows(stage.name, doc[stage.key]))
     return rows
 
 
@@ -597,8 +618,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
+        stages = [s for s in STAGES if args.subcommand in ("all", s.name)]
         # the FD wells' budget, refused up front where levels are solved
-        if args.subcommand in ("numeric", "compare", "all"):
+        if any(s.solves_wells for s in stages):
             try:
                 schrodinger.check_level_budget(cfg.a, Fraction(cfg.cutoff),
                                                cfg.grid)
@@ -606,10 +628,10 @@ def main(argv=None):
             except ValueError as exc:
                 raise ConfigError(str(exc))
         # the first stage that reads the q5 operators, refused up front
-        stage = {"all": "repcheck"}.get(args.subcommand, args.subcommand)
-        if cfg.preset != "q5" and stage in ("repcheck", "numeric", "compare"):
-            raise ConfigError("%s needs the q5 preset" % stage)
-        doc = RUNNERS[args.subcommand](cfg)
+        needs_q5 = [s.name for s in stages if s.needs_q5]
+        if cfg.preset != "q5" and needs_q5:
+            raise ConfigError("%s needs the q5 preset" % needs_q5[0])
+        doc = Run(cfg).doc(args.subcommand)
     except (ConfigError, ParseError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -28,10 +28,10 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
 __all__ = [
-    "Grid1D",
     "TridiagMatrix",
     "CompareRow",
     "CompareReport",
@@ -65,29 +65,6 @@ def y_potential(y, a=1.0):
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform interior grid for a Dirichlet problem on (left, right)."""
-
-    left: float
-    right: float
-    n: int
-
-    def __post_init__(self):
-        if not self.left < self.right:
-            raise ValueError("grid endpoints out of order")
-        if self.n < 3:
-            raise ValueError("need at least three interior points")
-
-    @property
-    def step(self):
-        return (self.right - self.left) / (self.n + 1)
-
-    def nodes(self):
-        h = self.step
-        return [self.left + (i + 1) * h for i in range(self.n)]
-
-
-@dataclass(frozen=True)
 class TridiagMatrix:
     """Symmetric tridiagonal matrix as diagonal and off-diagonal rows."""
 
@@ -106,17 +83,23 @@ class TridiagMatrix:
         return len(self.diagonal)
 
 
-def discretize(v: Callable[[float], float], grid: Grid1D) -> TridiagMatrix:
-    """Three-point discretization of -psi''/2 + v psi, in the units of
-    x_potential.
+def discretize(v: Callable[[float], float], lo: float, hi: float,
+               n: int) -> TridiagMatrix:
+    """Three-point discretization of -psi''/2 + v psi on the n uniform
+    interior nodes of (lo, hi), in the units of x_potential.
 
-    Dirichlet walls sit at the grid endpoints; the potential must be
-    finite at every interior node.
+    Dirichlet walls sit at lo and hi; the potential must be finite at
+    every interior node.
     """
-    h = grid.step
+    if not lo < hi:
+        raise ValueError("grid endpoints out of order")
+    if n < 3:
+        raise ValueError("need at least three interior points")
+    h = (hi - lo) / (n + 1)
     scale = 1.0 / (h * h)
     diag = []
-    for x in grid.nodes():
+    for i in range(n):
+        x = lo + (i + 1) * h
         try:
             val = v(x)
         except ZeroDivisionError:
@@ -124,7 +107,7 @@ def discretize(v: Callable[[float], float], grid: Grid1D) -> TridiagMatrix:
         if not math.isfinite(val):
             raise ValueError("potential singular at grid node x = %r" % x)
         diag.append(scale + val)
-    return TridiagMatrix(tuple(diag), (-0.5 * scale,) * (grid.n - 1))
+    return TridiagMatrix(tuple(diag), (-0.5 * scale,) * (n - 1))
 
 
 def sturm_count(diag, off, lam):
@@ -156,10 +139,8 @@ def _sturm_count(pairs, lam):
 
 
 def _gershgorin(t: TridiagMatrix):
-    radius = [0.0] * t.size
-    for i, e in enumerate(t.offdiagonal):
-        radius[i] += abs(e)
-        radius[i + 1] += abs(e)
+    abs_off = [abs(e) for e in t.offdiagonal]
+    radius = list(map(add, (0.0, *abs_off), (*abs_off, 0.0)))
     lo = min(d - r for d, r in zip(t.diagonal, radius))
     hi = max(d + r for d, r in zip(t.diagonal, radius))
     return lo, hi
@@ -382,11 +363,9 @@ def _refined(v, lo, hi, n):
     line through the levels below it, and seeds the same level of the
     fine grid, O(h^2) away.
     """
-    grid = discretize(v, Grid1D(lo, hi, n))
+    grid = discretize(v, lo, hi, n)
     coarse = []
-    fine = _eigenvalues(
-        discretize(v, Grid1D(lo, hi, 2 * n + 1)), LEVEL_TOL, coarse
-    )
+    fine = _eigenvalues(discretize(v, lo, hi, 2 * n + 1), LEVEL_TOL, coarse)
     for c in _eigenvalues(grid, LEVEL_TOL, _extrapolated(coarse)):
         coarse.append(c)
         yield (4.0 * next(fine) - c) / 3.0

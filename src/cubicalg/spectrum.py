@@ -17,6 +17,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import algebra, ladder
+from ._memo import once
 from .errors import SingularSystem, UndecidedSign, UnresolvedFactor
 from .exactnum import MultiPoly, SymbolTable, upoly
 from .exactnum.errors import ExactDivisionError
@@ -630,13 +631,8 @@ def complete_truncation(phi, u, p):
     return dict(zip(unknowns, solution))
 
 
-_Q5_SF = None
-
-
+@once
 def q5_structure_function():
     """Structure function of the two-wall system, cached."""
-    global _Q5_SF
-    if _Q5_SF is None:
-        derived = algebra.q5_algebra()
-        _Q5_SF = ladder.derive_structure_function(derived.spec, derived.k)
-    return _Q5_SF
+    derived = algebra.q5_algebra()
+    return ladder.derive_structure_function(derived.spec, derived.k)

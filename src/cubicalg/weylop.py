@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
+from ._memo import once
 from .casimir import acomm, comm
 from .errors import AmbiguousBasis, NotConserved, NotInSpan
 from .exactnum import (
@@ -162,7 +163,7 @@ def q5_symbol_table():
 @dataclass
 class OperatorSuite:
     """The conserved operator set of the two-wall system; identities
-    names the commutators with H that build_suite proved zero."""
+    names the commutators with H that suite proved zero."""
 
     table: SymbolTable
     hamiltonian: DiffOp
@@ -172,15 +173,14 @@ class OperatorSuite:
     identities: tuple = ("[H,A]", "[H,B]", "[H,[A,B]]")
 
 
-_SUITE = None
-
-
 def _scalar(table, text):
     return DiffOp.from_scalar(table, parse(text, table))
 
 
-def build_suite():
-    """Construct H, A, B and C = [A, B], verified exactly.
+@once
+def suite():
+    """Construct H, A, B and C = [A, B], verified exactly, on the first
+    call; every call returns that suite.
 
     The suite is written over the real symbol g = -i*h, so the momenta
     are p = g d and h^2 = -g^2, and every coefficient is rational.  This
@@ -234,13 +234,6 @@ def build_suite():
     raise NotConserved(
         "second integral fails to commute for both angular momentum signs"
     )
-
-
-def suite():
-    global _SUITE
-    if _SUITE is None:
-        _SUITE = build_suite()
-    return _SUITE
 
 
 def express_in_basis(target, basis):

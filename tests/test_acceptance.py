@@ -136,7 +136,7 @@ def test_criterion_04_structure_function_factored():
         product = product * (NFunc.nu(table) - expect(text))
     assert product * lead == sf.phi
     # the diff against the printed prefactor is logged, not adopted
-    doc = cli.run_derive(q5_config())
+    doc = cli.run_derive(cli.Run(q5_config()))
     items = {d["item"]: d for d in doc["reference_deltas"]}
     delta = items["phi lead coefficient"]
     assert delta["derived"] == "-4*h^6/a^4"
@@ -182,7 +182,7 @@ def test_criterion_07_unitarity_truth_table_to_p_50():
             else:
                 assert verdict.unitary == (verdict.p == 1), energy_text
     # the lone p = 1 pass is reported as an exception, never folded in
-    doc = cli.run_spectrum(q5_config())
+    doc = cli.run_spectrum(cli.Run(q5_config()))
     reported = [fam["exceptions"] for fam in doc["families"]]
     assert reported.count([1]) == 1
     assert reported.count([]) == 5

@@ -1,10 +1,11 @@
 """Derived structure constants of the two-wall cubic algebra."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from cubicalg import weylop
+from cubicalg import algebra, casimir, spectrum, weylop
 from cubicalg.algebra import (
     AlgebraSpec,
     hamiltonian_powers,
@@ -25,6 +26,27 @@ def derived():
 
 def expect(text):
     return parse(text, master_table())
+
+
+STAGE_MEMOS = [
+    (algebra, "master_table"),
+    (weylop, "suite"),
+    (casimir, "casimir_coefficients"),
+    (algebra, "q5_algebra"),
+    (spectrum, "q5_structure_function"),
+]
+
+
+@pytest.mark.parametrize("module, name", STAGE_MEMOS,
+                         ids=[name for _, name in STAGE_MEMOS])
+def test_stage_memo_is_a_plain_function_of_its_module(module, name):
+    # each stage is built once per process, behind a plain function that
+    # keeps its own name and module, so that introspection finds it
+    stage = getattr(module, name)
+    assert inspect.isfunction(stage)
+    assert stage.__module__ == module.__name__
+    assert stage.__name__ == name
+    assert stage() is stage()
 
 
 def test_structure_constants(derived):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import check_golden
-from cubicalg import algebra, cli, repcheck, schrodinger, spectrum, weylop
+from cubicalg import (algebra, cli, ladder, repcheck, schrodinger, spectrum,
+                      weylop)
+from cubicalg._memo import once
 from cubicalg.exactnum import NFunc, PolyFraction, parse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -334,7 +337,7 @@ def test_subcommands_without_fd_wells_take_any_a(capsys, subcommand):
 @pytest.mark.parametrize("subcommand", ["numeric", "compare", "all"])
 def test_fd_level_budget_is_refused_before_any_stage(
         capsys, monkeypatch, subcommand):
-    def no_stage(cfg):
+    def no_stage(run):
         raise AssertionError("a stage ran before the level budget was checked")
 
     monkeypatch.setitem(cli.RUNNERS, subcommand, no_stage)
@@ -576,16 +579,27 @@ def test_rational_a_scales_energies(tmp_path):
     assert 6.0 in samples and -4.0 in samples
 
 
-@pytest.mark.parametrize("target", ["missing/x.json", "."],
-                         ids=["missing-directory", "directory"])
-def test_unwritable_out_exits_2(tmp_path, capsys, target):
-    # a missing directory, or a directory itself: once the run is done
-    # the file cannot be opened, which is one config-error line
-    assert cli.main(["derive", "--out", str(tmp_path / target)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: cannot write output: ")
-    assert captured.err.count("\n") == 1
+@pytest.mark.parametrize("target", ["missing/x.json", ".", "file/x.json"],
+                         ids=["missing-directory", "directory",
+                              "file-as-directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, target):
+    # a missing directory, a directory itself, or a file taken for a
+    # directory: refused on one config-error line before any stage runs,
+    # and nothing is created
+    def no_stage(run):
+        raise AssertionError("a stage ran before --out was checked")
+
+    (tmp_path / "file").write_text("kept")
+    for name in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, name, no_stage)
+    for subcommand in ("derive", "all"):
+        assert cli.main([subcommand, "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write output: ")
+        assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_out_file_keeps_stdout_quiet(tmp_path, capsys):
@@ -674,8 +688,30 @@ def test_compare_sweeps_do_not_grow_with_p_max(tmp_path, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_all_builds_each_stage_once(monkeypatch, capsys):
+    # the run object hands every stage of `all` the one Phi, the one
+    # set of families and the one solve of the FD wells
+    calls = Counter()
+    for module, name in ((ladder, "derive_structure_function"),
+                         (spectrum, "energy_families"),
+                         (schrodinger, "q5_levels")):
+        def counted(*args, _stage=getattr(module, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    # a fresh memo, so that this run derives Phi itself
+    monkeypatch.setattr(spectrum, "q5_structure_function",
+                        once(spectrum.q5_structure_function.__wrapped__))
+    assert cli.main(["all", "--grid", "400", "--cutoff", "3.0"]) == 1
+    assert json.loads(capsys.readouterr().out)["compare"]["comparison"]
+    assert calls == {"derive_structure_function": 1, "energy_families": 1,
+                     "q5_levels": 1}
+
+
 def test_verify_q5_reports_the_identities_of_the_suite(monkeypatch, capsys):
-    # build_suite proves [H,A], [H,B] and [H,[A,B]] zero; verify-q5
+    # weylop.suite proves [H,A], [H,B] and [H,[A,B]] zero; verify-q5
     # reports them without computing any commutator again
     weylop.suite()
     algebra.q5_algebra()
@@ -696,7 +732,7 @@ def test_verify_q5_reports_a_failing_identity_in_one_line(monkeypatch,
     def nonzero(left, right):
         return weylop.DiffOp.from_scalar(left.table, 1)
 
-    monkeypatch.setattr(weylop, "_SUITE", None)
+    monkeypatch.setattr(weylop, "suite", once(weylop.suite.__wrapped__))
     monkeypatch.setattr(weylop, "comm", nonzero)
     assert cli.main(["verify-q5"]) == 1
     captured = capsys.readouterr()
@@ -797,7 +833,7 @@ def test_predictions_stop_rising_families_at_the_cutoff(monkeypatch, flags):
         return energy(*args)
 
     monkeypatch.setattr(cli, "_float_energy", counted)
-    got = cli._predictions(cfg, cli._Run(cfg))
+    got = cli._predictions(cli.Run(cfg))
     assert got == want
     # each rising family evaluates one energy past the last it keeps;
     # the falling ones are swept to p_max and keep every unitary p

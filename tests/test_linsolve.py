@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cubicalg import algebra, casimir, spectrum
+from cubicalg._memo import once
 from cubicalg.exactnum import (
     InconsistentSystem,
     MultiPoly,
@@ -143,8 +144,11 @@ def test_q5_systems_take_the_square_path(monkeypatch):
 
     monkeypatch.setattr(linsolve, "_independent_rows", record_pick)
     monkeypatch.setattr(linsolve, "_bareiss", square_only)
-    monkeypatch.setattr(casimir, "_COEFFS", None)
-    monkeypatch.setattr(algebra, "_Q5", None)
+    # fresh memos, so that both systems are solved here
+    for module, name in ((casimir, "casimir_coefficients"),
+                         (algebra, "q5_algebra")):
+        stage = getattr(module, name)
+        monkeypatch.setattr(module, name, once(stage.__wrapped__))
     algebra.q5_algebra()
     assert shapes == [(259, 13, True), (372, 13, True), (36, 9, True),
                       (223, 5, True)]

@@ -27,30 +27,29 @@ def random_tridiag(rng, n):
 
 
 def test_grid_and_matrix_validation():
-    with pytest.raises(ValueError):
-        sch.Grid1D(1.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        sch.Grid1D(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="out of order"):
+        sch.discretize(lambda x: 0.0, 1.0, 1.0, 10)
+    with pytest.raises(ValueError, match="three interior"):
+        sch.discretize(lambda x: 0.0, 0.0, 1.0, 2)
     with pytest.raises(ValueError):
         sch.TridiagMatrix((1.0, 2.0), (0.5, 0.5))
     with pytest.raises(ValueError):
         sch.TridiagMatrix((1.0, math.inf), (0.5,))
-    grid = sch.Grid1D(0.0, 1.0, 3)
-    assert grid.step == 0.25
-    assert grid.nodes() == [0.25, 0.5, 0.75]
+    nodes = []
+    sch.discretize(lambda x: nodes.append(x) or 0.0, 0.0, 1.0, 3)
+    assert nodes == [0.25, 0.5, 0.75]
 
 
 def test_discretize_box_matrix():
-    t = sch.discretize(lambda x: 0.0, sch.Grid1D(0.0, 1.0, 3))
+    t = sch.discretize(lambda x: 0.0, 0.0, 1.0, 3)
     assert t.diagonal == (16.0, 16.0, 16.0)
     assert t.offdiagonal == (-8.0, -8.0)
 
 
 def test_discretize_rejects_singular_node():
     # interior node lands exactly on the wall at x = a = 1
-    grid = sch.Grid1D(0.0, 2.0, 3)
     with pytest.raises(ValueError, match="singular"):
-        sch.discretize(lambda x: sch.x_potential(x), grid)
+        sch.discretize(lambda x: sch.x_potential(x), 0.0, 2.0, 3)
 
 
 def test_sturm_inertia_matches_dense_count():
@@ -141,7 +140,7 @@ def test_shared_counts_give_the_same_floats_on_random_tridiagonals():
 
 @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 12.0)])
 def test_shared_counts_give_the_same_floats_on_q5_wells(lo, hi):
-    t = sch.discretize(sch.x_potential, sch.Grid1D(lo, hi, 200))
+    t = sch.discretize(sch.x_potential, lo, hi, 200)
     assert list(sch._eigenvalues(t, 1e-10)) == reference_eigenvalues(t, 1e-10)
 
 
@@ -205,7 +204,7 @@ def symmetric_double_well():
     # |x| < 0.2, mirrored entry for entry: the pairs under the barrier
     # are split by about exp(-80), far under any tol
     half = sch.discretize(lambda x: 2e4 if x > -0.2 else 0.0,
-                          sch.Grid1D(-1.0, 0.0, 100))
+                          -1.0, 0.0, 100)
     off = half.offdiagonal
     return sch.TridiagMatrix(half.diagonal + half.diagonal[::-1],
                              off + (off[0],) + off)
@@ -227,7 +226,7 @@ def test_replay_falls_through_to_bisection_on_unsplit_pairs(monkeypatch):
 @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (1.0, 12.0)])
 def test_replay_gives_the_same_floats_on_q5_wells(lo, hi, n):
     # more than the levels q5_levels keeps below its cutoff of 6
-    t = sch.discretize(sch.x_potential, sch.Grid1D(lo, hi, n))
+    t = sch.discretize(sch.x_potential, lo, hi, n)
     got = list(islice(sch._eigenvalues(t, 1e-10), 8))
     assert got == reference_eigenvalues(t, 1e-10, 8)
 
@@ -236,7 +235,7 @@ def test_replay_gives_the_same_floats_on_q5_wells(lo, hi, n):
 def test_sturm_count_is_monotone_in_lam_on_q5_wells(lo, hi):
     # the replay decides midpoints by this: ulp neighbours of each level,
     # points a few tol away and a sweep across the low spectrum
-    t = sch.discretize(sch.x_potential, sch.Grid1D(lo, hi, 500))
+    t = sch.discretize(sch.x_potential, lo, hi, 500)
     levels = list(islice(sch._eigenvalues(t, 1e-10), 10))
     lams = [levels[0] - 2.0 + j * (levels[-1] + 4.0 - levels[0]) / 400
             for j in range(401)]
@@ -325,7 +324,7 @@ def test_outer_well_reference():
 
 def test_grid_refinement_convergence_witness():
     def levels(n):
-        t = sch.discretize(sch.x_potential, sch.Grid1D(1.0, 12.0, n))
+        t = sch.discretize(sch.x_potential, 1.0, 12.0, n)
         return list(islice(sch._eigenvalues(t, 1e-10), 3))
 
     coarse = levels(1000)
