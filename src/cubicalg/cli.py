@@ -172,10 +172,11 @@ def build_config(args):
         fmt = args.format
     if args.out:
         out = args.out
+    cfg = RunConfig(preset, inline, k_text, p_max, a, grid, cutoff, tol,
+                    fmt, out)
     if out:
         _check_writable(out)
-    return RunConfig(preset, inline, k_text, p_max, a, grid, cutoff, tol,
-                     fmt, out)
+    return cfg
 
 
 def _check_writable(path):
